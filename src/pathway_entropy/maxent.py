@@ -195,22 +195,19 @@ def _bracket(lam: np.ndarray, exponents: Sequence[float], x: np.ndarray) -> np.n
     return acc
 
 
-def _family_values(alpha: float, lam: np.ndarray, exponents: Sequence[float],
-                   x: np.ndarray) -> np.ndarray:
-    b = _bracket(lam, exponents, x) / (2.0 - alpha)
-    if alpha < 1.0:
-        return np.power(np.clip(b, 0.0, None), 1.0 / (1.0 - alpha))
-    return np.power(np.clip(b, _POS_FLOOR, None), 1.0 / (1.0 - alpha))
+def _clipped_power(b: np.ndarray, power: float, alpha: float) -> np.ndarray:
+    # Below order 1 a bracket raised to a nonnegative power clips at zero,
+    # which is where compact support comes from; otherwise it is floored
+    # just above zero so a negative power stays finite.
+    floor = 0.0 if (alpha < 1.0 and power >= 0.0) else _POS_FLOOR
+    return np.power(np.clip(b, floor, None), power)
 
 
-def _family_power_alpha(alpha: float, lam: np.ndarray, exponents: Sequence[float],
-                        x: np.ndarray) -> np.ndarray:
-    # f^alpha straight from the bracket; the alpha/(1-alpha) exponent stays
+def _family_power(alpha: float, lam: np.ndarray, exponents: Sequence[float],
+                  x: np.ndarray, power: float) -> np.ndarray:
+    # f itself at power 1/(1-alpha); f^alpha at alpha/(1-alpha), which stays
     # integrable at a support edge for every admissible order.
-    b = _bracket(lam, exponents, x) / (2.0 - alpha)
-    q = alpha / (1.0 - alpha)
-    floor = 0.0 if (alpha < 1.0 and q >= 0.0) else _POS_FLOOR
-    return np.power(np.clip(b, floor, None), q)
+    return _clipped_power(_bracket(lam, exponents, x) / (2.0 - alpha), power, alpha)
 
 
 def stationary_density(order: AlphaOrder, multipliers: Sequence[float],
@@ -227,7 +224,7 @@ def stationary_density(order: AlphaOrder, multipliers: Sequence[float],
     alpha = order.alpha
 
     def f(x: np.ndarray) -> np.ndarray:
-        return _family_values(alpha, lam, exps, x)
+        return _family_power(alpha, lam, exps, x, 1.0 / (1.0 - alpha))
 
     return f
 
@@ -251,12 +248,14 @@ def _guard_positive(alpha: float, lam: np.ndarray, exponents: Sequence[float],
 
 def _constraint_gaps(alpha: float, lam: np.ndarray, exponents: Sequence[float],
                      targets: Sequence[float], lower: float, upper: float) -> np.ndarray:
+    power = 1.0 / (1.0 - alpha)
+
     def moment(expo: float) -> float:
         if expo == 0.0:
-            return _quad(lambda x: _family_values(alpha, lam, exponents, x),
+            return _quad(lambda x: _family_power(alpha, lam, exponents, x, power),
                          lower, upper)
         return _quad(lambda x: np.power(np.asarray(x, dtype=float), expo)
-                     * _family_values(alpha, lam, exponents, x), lower, upper)
+                     * _family_power(alpha, lam, exponents, x, power), lower, upper)
 
     gaps = np.array([moment(0.0) - 1.0]
                     + [moment(e) - t for e, t in zip(exponents, targets)])
@@ -271,17 +270,18 @@ def _jacobian(alpha: float, lam: np.ndarray, exponents: Sequence[float],
     #                        / ((1 - alpha) (2 - alpha)); symmetric.
     all_exps = (0.0,) + tuple(exponents)
     coeff = 1.0 / ((1.0 - alpha) * (2.0 - alpha))
+    power = alpha / (1.0 - alpha)
     n = len(all_exps)
     jac = np.empty((n, n))
     for j in range(n):
         for k in range(j, n):
             expo = all_exps[j] + all_exps[k]
             if expo == 0.0:
-                val = _quad(lambda x: _family_power_alpha(alpha, lam, exponents, x),
+                val = _quad(lambda x: _family_power(alpha, lam, exponents, x, power),
                             lower, upper)
             else:
                 val = _quad(lambda x: np.power(np.asarray(x, dtype=float), expo)
-                            * _family_power_alpha(alpha, lam, exponents, x),
+                            * _family_power(alpha, lam, exponents, x, power),
                             lower, upper)
             jac[j, k] = jac[k, j] = coeff * val
     return jac
@@ -418,7 +418,8 @@ def solve(problem: MaxEntProblem) -> MaxEntSolution:
     else:
         raise last if last is not None else NonConvergence("no multiplier fit")
 
-    dens = _family_values(alpha, lam, problem.exponents, problem.grid)
+    dens = _family_power(alpha, lam, problem.exponents, problem.grid,
+                         1.0 / (1.0 - alpha))
     return MaxEntSolution(
         density_values=dens,
         multipliers=lam,
@@ -430,15 +431,13 @@ def solve(problem: MaxEntProblem) -> MaxEntSolution:
 
 def _escort_mean(alpha: float, lam3: float, delta: float, lower: float,
                  upper: float) -> float:
-    def bracket_power(x: np.ndarray, q: float) -> np.ndarray:
+    def weight(x: np.ndarray) -> np.ndarray:
         b = 1.0 + lam3 * np.power(np.asarray(x, dtype=float), delta)
-        floor = 0.0 if (alpha < 1.0 and q >= 0.0) else _POS_FLOOR
-        return np.power(np.clip(b, floor, None), q)
+        return _clipped_power(b, alpha / (1.0 - alpha), alpha)
 
-    q = alpha / (1.0 - alpha)
     num = _quad(lambda x: np.power(np.asarray(x, dtype=float), delta)
-                * bracket_power(x, q), lower, upper)
-    den = _quad(lambda x: bracket_power(x, q), lower, upper)
+                * weight(x), lower, upper)
+    den = _quad(weight, lower, upper)
     if den <= 0.0 or not (math.isfinite(num) and math.isfinite(den)):
         raise NonFinite("escort weight carried no mass on the span")
     return num / den
@@ -486,8 +485,7 @@ def solve_escort(problem: MaxEntProblem, delta: float = 1.0, *,
 
     def shape(x: np.ndarray) -> np.ndarray:
         b = 1.0 + lam3 * np.power(np.asarray(x, dtype=float), delta)
-        floor = 0.0 if alpha < 1.0 else _POS_FLOOR
-        return np.power(np.clip(b, floor, None), expo)
+        return _clipped_power(b, expo, alpha)
 
     mass = _quad(shape, lower, upper)
     if mass <= 0.0 or not math.isfinite(mass):
@@ -541,7 +539,7 @@ def _fit_lambda3(alpha: float, delta: float, target: float, lower: float,
             if g_cand == 0.0:
                 return cand
             if (g_cand < 0.0) != (g_here < 0.0):
-                return find_root(gap, (l_here, cand), tol=1e-13)
+                return find_root(gap, sorted((l_here, cand)), tol=1e-13)
             g_here, l_here = g_cand, cand
     raise Infeasible("no bracket coefficient reaches the escort target on "
                      "this span")

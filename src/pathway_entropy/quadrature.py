@@ -98,17 +98,18 @@ class _Evaluator:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         if self._vectorized is None:
-            self._vectorized = self._probe(x)
+            # the first batch decides: vectorized when f(array) returns an
+            # array of the batch's shape without raising
+            try:
+                out = np.asarray(self._f(x))
+            except Exception:
+                out = None
+            self._vectorized = out is not None and out.shape == x.shape
+            if self._vectorized:
+                return np.asarray(out, dtype=float)
         if self._vectorized:
             return np.asarray(self._f(x), dtype=float)
         return np.fromiter((float(self._f(float(v))) for v in x), dtype=float, count=x.size)
-
-    def _probe(self, x: np.ndarray) -> bool:
-        try:
-            out = np.asarray(self._f(x[:3]))
-        except Exception:
-            return False
-        return out.ndim == 1 and out.shape == (3,)
 
 
 def _fold_infinite(f: Callable, lower: float, upper: float):

@@ -22,7 +22,13 @@ from pathway_entropy.maxent import (
     stationary_density,
     trapezoid_weights,
 )
-from pathway_entropy.pathway import kernel, special_case
+from pathway_entropy.pathway import (
+    PathwayParams,
+    density,
+    kernel,
+    special_case,
+    support,
+)
 from pathway_entropy.quadrature import QuadratureSpec, integrate
 
 E_X_BETA = 0.5                       # mean of 1.5 (1 - x/2)^2 on [0, 2]
@@ -271,6 +277,24 @@ def test_escort_round_trip():
     assert sol.multipliers[0] == pytest.approx(ESCORT_SCALE, abs=1e-7)
     expected = ESCORT_SCALE * (1.0 + 0.5 * problem.grid) ** -2.0
     assert np.max(np.abs(sol.density_values - expected)) <= 1e-6
+    assert sol.euler_residual <= 1e-10
+
+
+@pytest.mark.parametrize("alpha,delta,s", [(0.3, 1.0, 1.0), (0.6, 2.0, 0.5),
+                                            (0.9, 1.5, 2.0)])
+def test_escort_round_trip_below_order_one(alpha, delta, s):
+    # The gamma = 1 pathway kernel is the escort family with a negative
+    # coefficient lam3 = -s(1-alpha); on a span past its support edge the
+    # escort mean of x^delta is 1/(s(1 - alpha + delta)).
+    params = PathwayParams(alpha=alpha, delta=delta, s=s)
+    grid = np.linspace(0.0, 1.2 * support(params).upper, 301)
+    problem = MaxEntProblem(grid, AlphaOrder(alpha),
+                            (MomentConstraint(delta, 1.0 / (s * (1.0 - alpha + delta))),),
+                            MaxEntVariant.ESCORT)
+    sol = solve_escort(problem, delta)
+    assert sol.multipliers[1] == pytest.approx(-s * (1.0 - alpha), rel=1e-9)
+    expected = density(params, grid)
+    assert np.max(np.abs(sol.density_values - expected)) <= 1e-9 * np.max(expected)
     assert sol.euler_residual <= 1e-10
 
 

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from pathway_entropy.errors import DomainError, NotNormalizable, UnknownName
 from pathway_entropy.pathway import (
@@ -197,6 +198,61 @@ def test_sampling_mean_type1_branch():
     draws = sample(HAND, 100_000, seed=456)
     se = 0.3872983346207416885179 / math.sqrt(100_000)
     assert abs(draws.mean() - 0.5) < 3.0 * se
+
+
+# a heavy power tail (density ~ x^-2) and a steep one (density ~ x^-7.8)
+HEAVY = PathwayParams(alpha=1.5, gamma=2.0, delta=1.5, s=1.0, beta_exp=1.0)
+STEEP = PathwayParams(alpha=1.6734, gamma=2.0060, delta=0.7414, s=1.8966,
+                      beta_exp=7.9788)
+REGIMES = (HAND, TYPE1_GEN, EXPO, LIMIT_GEN, TYPE2_GEN, HEAVY, STEEP)
+
+
+def oracle_cdf(params, x):
+    """scipy.stats law of the substituted t = s|1-alpha| x^delta."""
+    a, r = params.alpha, params.gamma / params.delta
+    if a < 1.0:
+        scale = params.s * (1.0 - a)
+        law = stats.beta(r, params.beta_exp / (1.0 - a) + 1.0)
+    elif a > 1.0:
+        scale = params.s * (a - 1.0)
+        law = stats.betaprime(r, params.beta_exp / (a - 1.0) - r)
+    else:
+        scale = params.beta_exp * params.s
+        law = stats.gamma(r)
+    return law.cdf(scale * np.asarray(x, dtype=float) ** params.delta)
+
+
+@pytest.mark.parametrize("params", REGIMES)
+def test_sample_distribution_kolmogorov_smirnov(params):
+    draws = sample(params, 2000, seed=0)
+    assert np.all(np.isfinite(draws))
+    statistic = stats.kstest(draws, lambda x: oracle_cdf(params, x)).statistic
+    # 1 % critical value of the one-sample KS statistic at n = 2000
+    assert statistic < 1.628 / math.sqrt(2000)
+
+
+@pytest.mark.parametrize("params", REGIMES)
+def test_cdf_matches_quadrature_oracle(params):
+    c = normalizing_constant(params)
+    for u in (0.05, 0.4, 0.8, 0.99):
+        x = quantile(params, u)
+        mass = c * integrate(lambda t: kernel(params, t), QuadratureSpec(0.0, x))
+        assert cdf(params, x) == pytest.approx(mass, abs=1e-9)
+
+
+@pytest.mark.parametrize("params", REGIMES)
+def test_cdf_saturates_at_the_upper_end(params):
+    assert cdf(params, math.inf) == 1.0
+    assert cdf(params, support(params).upper) == 1.0
+
+
+@pytest.mark.parametrize("params", (TYPE2_GEN, HEAVY, STEEP))
+def test_quantile_round_trip_far_in_the_power_tail(params):
+    for u in (0.3, 0.6, 0.99, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12):
+        x = quantile(params, u)
+        assert math.isfinite(x)
+        assert cdf(params, x) == pytest.approx(u, abs=1e-15)
+        assert quantile(params, cdf(params, x)) == pytest.approx(x, rel=1e-12)
 
 
 # ------------------------------------------------------------ special cases

@@ -52,6 +52,19 @@ def test_scalar_only_integrand_is_supported():
     assert abs(value - (math.exp(2.0) - 1.0)) < 1e-10
 
 
+def test_vectorization_is_decided_on_the_first_batch():
+    sizes = []
+
+    def f(x):
+        x = np.asarray(x)
+        sizes.append(x.size)
+        return x * x
+
+    assert abs(integrate(f, QuadratureSpec(0.0, 1.0)) - 1.0 / 3.0) < 1e-12
+    # one call on whole 15-node panels; no separate small probe call
+    assert len(sizes) == 1 and sizes[0] % 15 == 0
+
+
 def test_budget_exhaustion_raises():
     spec = QuadratureSpec(0.0, 1.0, rel_tol=1e-14, abs_tol=1e-16, max_subdivisions=2)
     with pytest.raises(NonConvergence):
