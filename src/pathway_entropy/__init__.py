@@ -50,7 +50,6 @@ from .entropy_discrete import (
     entropy,
     entropy_from_power_sum,
     functional_equation_residual,
-    joint_entropy_product,
     power_exponent,
     product_distribution,
     recursivity_weight,
@@ -132,7 +131,7 @@ __all__ = [
     "AlphaOrder", "SHANNON", "RENYI", "HAVRDA_CHARVAT", "TSALLIS", "MATHAI_M",
     "MATHAI_M_STAR", "ALPHA_FAMILIES", "validate_order",
     "shannon_limit_constant", "power_exponent", "entropy_from_power_sum",
-    "entropy", "product_distribution", "joint_entropy_product",
+    "entropy", "product_distribution",
     "composition_coefficient", "composition_residual_bivariate",
     "composition_residual_trivariate", "recursivity_weight",
     "functional_equation_residual", "shannon_recursivity_residual",

@@ -20,8 +20,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
@@ -60,29 +58,12 @@ from .pathway import (
 )
 from .ppp import independent_event_triples, scan
 
-__all__ = ["Subcommand", "RunConfig", "run", "main", "read_csv", "parse_sweep"]
+__all__ = ["run", "main", "read_csv", "parse_sweep"]
 
 _FMT = "%.17g"
-
-
-class Subcommand(Enum):
-    ENTROPY = "entropy"
-    COMPOSE = "compose"
-    PATHWAY = "pathway"
-    MAXENT = "maxent"
-    ODE = "ode"
-    PPP = "ppp"
-    INACCURACY = "inaccuracy"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: subcommand, its parameter bindings, and routing."""
-
-    subcommand: Subcommand
-    bindings: dict
-    output_format: str
-    output_path: str | None
+# `records` value of a handler whose one CSV row is spread into the JSON
+# envelope as fields, instead of listed under a key.
+_ONE_ROW = ""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -133,14 +114,7 @@ def _parse_probs(text: str) -> DiscreteDistribution:
     return DiscreteDistribution(np.array(values), ZeroPolicy.ZERO_INDIFFERENT)
 
 
-_FAMILY_TAGS = {
-    "shannon": FamilyTag.SHANNON,
-    "renyi": FamilyTag.RENYI,
-    "havrda_charvat": FamilyTag.HAVRDA_CHARVAT,
-    "tsallis": FamilyTag.TSALLIS,
-    "mathai_m": FamilyTag.MATHAI_M,
-    "mathai_m_star": FamilyTag.MATHAI_M_STAR,
-}
+_FAMILY_TAGS = {t.value: t for t in FamilyTag}
 
 
 def _families(name: str, constant: float) -> list[tuple[str, EntropyFamily]]:
@@ -155,11 +129,11 @@ def _families(name: str, constant: float) -> list[tuple[str, EntropyFamily]]:
     return [(name, build(name))]
 
 
-def _family_value_rows(bindings: dict, evaluate) -> list[list]:
-    lenient = bindings["family"] == "all"
+def _family_value_rows(args: argparse.Namespace, evaluate) -> list[list]:
+    lenient = args.family == "all"
     rows = []
-    for name, family in _families(bindings["family"], bindings["constant"]):
-        for alpha in parse_sweep(bindings["alpha"]):
+    for name, family in _families(args.family, args.constant):
+        for alpha in parse_sweep(args.alpha):
             order = AlphaOrder(alpha)
             if lenient:
                 try:
@@ -170,53 +144,48 @@ def _family_value_rows(bindings: dict, evaluate) -> list[list]:
     return rows
 
 
-def _cmd_entropy(config: RunConfig):
-    b = config.bindings
-    dist = _parse_probs(b["probs"])
-    rows = _family_value_rows(b, lambda fam, order: entropy(dist, fam, order))
-    payload = {"rows": [{"family": r[0], "alpha": r[1], "value": r[2]}
-                        for r in rows]}
-    return ["family", "alpha", "value"], rows, payload
+def _cmd_entropy(args: argparse.Namespace):
+    dist = _parse_probs(args.probs)
+    rows = _family_value_rows(args, lambda fam, order: entropy(dist, fam, order))
+    return ["family", "alpha", "value"], rows, {}, "rows"
 
 
-def _cmd_compose(config: RunConfig):
-    b = config.bindings
-    p = _parse_probs(b["probs"])
-    q = _parse_probs(b["probs2"])
-    r = _parse_probs(b["probs3"]) if b["probs3"] is not None else None
+def _cmd_compose(args: argparse.Namespace):
+    p = _parse_probs(args.probs)
+    q = _parse_probs(args.probs2)
+    r = _parse_probs(args.probs3) if args.probs3 is not None else None
 
     def residual(family, order):
         if r is None:
             return composition_residual_bivariate(p, q, family, order)
         return composition_residual_trivariate(p, q, r, family, order)
 
-    rows = _family_value_rows(b, residual)
-    payload = {"law": "bivariate" if r is None else "trivariate",
-               "rows": [{"family": row[0], "alpha": row[1], "residual": row[2]}
-                        for row in rows]}
-    return ["family", "alpha", "residual"], rows, payload
+    rows = _family_value_rows(args, residual)
+    law = "bivariate" if r is None else "trivariate"
+    return ["family", "alpha", "residual"], rows, {"law": law}, "rows"
 
 
 _SPECIAL_FLAGS = ("alpha", "gamma", "delta", "s", "q", "beta_scale", "shape")
 
 
-def _pathway_params(b: dict) -> PathwayParams:
-    if b["special"] is not None:
-        if b["beta"] is not None:
+def _pathway_params(args: argparse.Namespace) -> PathwayParams:
+    if args.special is not None:
+        if args.beta is not None:
             raise UsageError("special cases fix the outer exponent; drop --beta")
-        kwargs = {key: b[key] for key in _SPECIAL_FLAGS if b[key] is not None}
-        return special_case(b["special"], **kwargs)
+        kwargs = {key: getattr(args, key) for key in _SPECIAL_FLAGS
+                  if getattr(args, key) is not None}
+        return special_case(args.special, **kwargs)
     for key in ("q", "beta_scale", "shape"):
-        if b[key] is not None:
+        if getattr(args, key) is not None:
             raise UsageError(f"--{key.replace('_', '-')} applies only with --special")
-    if b["alpha"] is None:
+    if args.alpha is None:
         raise UsageError("either --special or --alpha is required")
     return PathwayParams(
-        alpha=b["alpha"],
-        gamma=b["gamma"] if b["gamma"] is not None else 1.0,
-        delta=b["delta"] if b["delta"] is not None else 1.0,
-        s=b["s"] if b["s"] is not None else 1.0,
-        beta_exp=b["beta"] if b["beta"] is not None else 1.0,
+        alpha=args.alpha,
+        gamma=args.gamma if args.gamma is not None else 1.0,
+        delta=args.delta if args.delta is not None else 1.0,
+        s=args.s if args.s is not None else 1.0,
+        beta_exp=args.beta if args.beta is not None else 1.0,
     )
 
 
@@ -237,18 +206,19 @@ def _default_seed(explicit: int | None) -> int:
         raise UsageError(f"PATHWAY_ENTROPY_SEED must be an integer, got {raw!r}")
 
 
-def _cmd_pathway(config: RunConfig):
-    b = config.bindings
-    params = _pathway_params(b)
-    reflect = b["reflect"]
-    if reflect and b["special"] != "gaussian_half":
+def _cmd_pathway(args: argparse.Namespace):
+    params = _pathway_params(args)
+    reflect = args.reflect
+    if reflect and args.special != "gaussian_half":
         raise UsageError("--reflect mirrors the gaussian_half special case only")
-    modes = [m for m in ("table", "sample_n", "constant") if b[m]]
-    if len(modes) != 1:
+    modes = [args.table is not None, args.sample_n is not None, args.constant]
+    if sum(modes) != 1:
         raise UsageError("choose exactly one of --table, --sample, --constant")
+    if args.table is None and (reflect or args.with_cdf):
+        raise UsageError("--reflect and --with-cdf apply only with --table")
 
-    if b["table"]:
-        xs = np.array(parse_sweep(b["table"]))
+    if args.table is not None:
+        xs = np.array(parse_sweep(args.table))
         if reflect:
             dens = 0.5 * density(params, np.abs(xs))
         else:
@@ -257,7 +227,7 @@ def _cmd_pathway(config: RunConfig):
             dens = density(params, xs)
         header = ["x", "density"]
         columns = [xs, dens]
-        if b["with_cdf"]:
+        if args.with_cdf:
             if reflect:
                 cum = np.array([0.5 * (1.0 + math.copysign(1.0, x)
                                        * cdf(params, abs(x))) if x != 0.0 else 0.5
@@ -267,23 +237,20 @@ def _cmd_pathway(config: RunConfig):
             header.append("cdf")
             columns.append(cum)
         rows = [list(row) for row in zip(*columns)]
-        payload = {"params": _params_record(params), "reflect": reflect,
-                   "table": [dict(zip(header, row)) for row in rows]}
-        return header, rows, payload
+        envelope = {"params": _params_record(params), "reflect": reflect}
+        return header, rows, envelope, "table"
 
-    if b["sample_n"]:
-        seed = _default_seed(b["seed"])
-        draws = sample(params, b["sample_n"], seed)
+    if args.sample_n is not None:
+        seed = _default_seed(args.seed)
+        draws = sample(params, args.sample_n, seed)
         rows = [[i, v] for i, v in enumerate(draws)]
         payload = {"params": _params_record(params), "seed": seed,
                    "sample": [float(v) for v in draws]}
-        return ["index", "value"], rows, payload
+        return ["index", "value"], rows, payload, None
 
-    closed = normalizing_constant(params)
-    quad = normalizing_constant_quadrature(params)
-    payload = {"params": _params_record(params), "closed": closed,
-               "quadrature": quad}
-    return ["closed", "quadrature"], [[closed, quad]], payload
+    row = [normalizing_constant(params), normalizing_constant_quadrature(params)]
+    envelope = {"params": _params_record(params)}
+    return ["closed", "quadrature"], [row], envelope, _ONE_ROW
 
 
 def _parse_moment(text: str) -> MomentConstraint:
@@ -297,16 +264,15 @@ def _parse_moment(text: str) -> MomentConstraint:
     return MomentConstraint(exponent, target)
 
 
-def _cmd_maxent(config: RunConfig):
-    b = config.bindings
-    grid = np.array(parse_sweep(b["grid"]))
-    constraints = tuple(_parse_moment(m) for m in b["moment"] or ())
-    variant = MaxEntVariant.ESCORT if b["escort"] else MaxEntVariant.PLAIN
-    problem = MaxEntProblem(grid, AlphaOrder(b["alpha"]), constraints, variant)
-    if b["escort"]:
-        solution = solve_escort(problem, b["escort_delta"], lambda3=b["lambda3"])
+def _cmd_maxent(args: argparse.Namespace):
+    grid = np.array(parse_sweep(args.grid))
+    constraints = tuple(_parse_moment(m) for m in args.moment or ())
+    variant = MaxEntVariant.ESCORT if args.escort else MaxEntVariant.PLAIN
+    problem = MaxEntProblem(grid, AlphaOrder(args.alpha), constraints, variant)
+    if args.escort:
+        solution = solve_escort(problem, args.escort_delta, lambda3=args.lambda3)
     else:
-        if b["lambda3"] is not None:
+        if args.lambda3 is not None:
             raise UsageError("--lambda3 applies only with --escort")
         solution = maxent_solve(problem)
 
@@ -324,67 +290,57 @@ def _cmd_maxent(config: RunConfig):
         "objective": solution.objective,
         "euler_residual": solution.euler_residual,
     }
-    return ["record", "index", "x", "value"], rows, payload
+    return ["record", "index", "x", "value"], rows, payload, None
 
 
-def _cmd_ode(config: RunConfig):
-    b = config.bindings
-    params = PathwayParams(alpha=b["alpha"], gamma=b["gamma"], delta=b["delta"],
-                           s=b["s"], beta_exp=b["beta"])
-    case = OdeCase(params, OdeReduction(b["reduction"]))
-    report = residual_sweep(case, b["points"], b["h"])
-    row = [b["reduction"], params.alpha, params.gamma, params.delta, params.s,
+def _cmd_ode(args: argparse.Namespace):
+    params = PathwayParams(alpha=args.alpha, gamma=args.gamma, delta=args.delta,
+                           s=args.s, beta_exp=args.beta)
+    case = OdeCase(params, OdeReduction(args.reduction))
+    report = residual_sweep(case, args.points, args.h)
+    row = [args.reduction, params.alpha, params.gamma, params.delta, params.s,
            params.beta_exp, case.eta, report.n_points, report.h,
            report.max_residual, report.argmax]
     header = ["reduction", "alpha", "gamma", "delta", "s", "beta", "eta",
               "n_points", "h", "max_residual", "argmax"]
-    payload = dict(zip(header, row))
-    return header, [row], payload
+    return header, [row], {}, _ONE_ROW
 
 
-def _cmd_ppp(config: RunConfig):
-    b = config.bindings
-    if (b["scan_max"] is None) == (b["n"] is None):
+def _cmd_ppp(args: argparse.Namespace):
+    if (args.scan_max is None) == (args.n is None):
         raise UsageError("choose exactly one of --scan or --n")
-    if b["scan_max"] is not None:
-        table = scan(b["scan_max"])
-        rows = [[n, count] for n, count in table]
-        payload = {"scan": [{"n": n, "count": count} for n, count in table]}
-        return ["n", "count"], rows, payload
-    found = independent_event_triples(b["n"])
+    if args.scan_max is not None:
+        rows = [[n, count] for n, count in scan(args.scan_max)]
+        return ["n", "count"], rows, {}, "scan"
+    found = independent_event_triples(args.n)
     rows = [[found.n, x, y, z] for x, y, z in found.triples]
     payload = {"n": found.n, "triples": [list(t) for t in found.triples]}
-    return ["n", "x", "y", "z"], rows, payload
+    return ["n", "x", "y", "z"], rows, payload, None
 
 
-def _cmd_inaccuracy(config: RunConfig):
-    b = config.bindings
-    true_dist = _parse_probs(b["true"])
-    assigned = _parse_probs(b["assigned"])
+def _cmd_inaccuracy(args: argparse.Namespace):
+    true_dist = _parse_probs(args.true)
+    assigned = _parse_probs(args.assigned)
     rows = []
-    for alpha in parse_sweep(b["alpha"]):
+    for alpha in parse_sweep(args.alpha):
         value = kerridge_inaccuracy(
             InaccuracyInput(true_dist, assigned, AlphaOrder(alpha)))
         rows.append([alpha, value])
-    payload = {"rows": [{"alpha": r[0], "value": r[1]} for r in rows]}
-    return ["alpha", "value"], rows, payload
+    return ["alpha", "value"], rows, {}, "rows"
 
 
-_HANDLERS = {
-    Subcommand.ENTROPY: _cmd_entropy,
-    Subcommand.COMPOSE: _cmd_compose,
-    Subcommand.PATHWAY: _cmd_pathway,
-    Subcommand.MAXENT: _cmd_maxent,
-    Subcommand.ODE: _cmd_ode,
-    Subcommand.PPP: _cmd_ppp,
-    Subcommand.INACCURACY: _cmd_inaccuracy,
-}
-
-
-def _render(config: RunConfig, header: list[str], rows: list[list],
-            payload) -> str:
-    if config.output_format == "json":
-        return json.dumps(payload, indent=2) + "\n"
+def _render(output_format: str, header: list[str], rows: list[list],
+            envelope: dict, records: str | None) -> str:
+    """CSV from the header and rows, or JSON: the envelope followed by the
+    rows as header-keyed records, listed under the key `records`, spread into
+    the envelope for _ONE_ROW, or left out when `records` is None (columnar
+    shapes carry their data in the envelope)."""
+    if output_format == "json":
+        if records == _ONE_ROW:
+            envelope.update(zip(header, rows[0]))
+        elif records is not None:
+            envelope[records] = [dict(zip(header, row)) for row in rows]
+        return json.dumps(envelope, indent=2) + "\n"
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell)
@@ -416,9 +372,10 @@ def read_csv(source) -> tuple[list[str], list[list]]:
     return header, rows
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, handler) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--output", default=None, metavar="PATH")
+    parser.set_defaults(handler=handler)
 
 
 def _build_parser() -> _Parser:
@@ -434,7 +391,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--constant", type=float, default=1.0,
                    help="scale constant for the shannon family")
     p.add_argument("--probs", required=True, help="comma-separated probabilities")
-    _add_common(p)
+    _add_common(p, _cmd_entropy)
 
     p = sub.add_parser("compose", help="product-composition law residuals")
     p.add_argument("--family", choices=names, required=True)
@@ -444,7 +401,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--probs2", required=True)
     p.add_argument("--probs3", default=None,
                    help="third factor switches to the trivariate law")
-    _add_common(p)
+    _add_common(p, _cmd_compose)
 
     p = sub.add_parser("pathway", help="density tables, samples, constants")
     p.add_argument("--special", default=None,
@@ -466,7 +423,7 @@ def _build_parser() -> _Parser:
                    help="overrides PATHWAY_ENTROPY_SEED (default 0)")
     p.add_argument("--constant", action="store_true",
                    help="emit closed-form and quadrature normalizing constants")
-    _add_common(p)
+    _add_common(p, _cmd_pathway)
 
     p = sub.add_parser("maxent", help="constrained maximum-entropy solve")
     p.add_argument("--alpha", type=float, required=True)
@@ -477,7 +434,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--escort-delta", dest="escort_delta", type=float, default=1.0)
     p.add_argument("--lambda3", type=float, default=None,
                    help="freeze the escort bracket coefficient")
-    _add_common(p)
+    _add_common(p, _cmd_maxent)
 
     p = sub.add_parser("ode", help="derivative-identity residual sweep")
     p.add_argument("--reduction", default="general",
@@ -490,19 +447,19 @@ def _build_parser() -> _Parser:
     p.add_argument("--points", type=int, default=9)
     p.add_argument("--h", type=float, default=None,
                    help="stencil step (default: per-point scaling)")
-    _add_common(p)
+    _add_common(p, _cmd_ode)
 
     p = sub.add_parser("ppp", help="integer triples realizing exact independence")
     p.add_argument("--scan", dest="scan_max", type=int, default=None,
                    metavar="N_MAX")
     p.add_argument("--n", type=int, default=None)
-    _add_common(p)
+    _add_common(p, _cmd_ppp)
 
     p = sub.add_parser("inaccuracy", help="expected assignment penalty")
     p.add_argument("--true", required=True, help="true distribution")
     p.add_argument("--assigned", required=True)
     p.add_argument("--alpha", default="2", help="order, or start:stop:step")
-    _add_common(p)
+    _add_common(p, _cmd_inaccuracy)
 
     return parser
 
@@ -517,19 +474,10 @@ def run(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         try:
-            namespace = parser.parse_args(argv)
+            args = parser.parse_args(argv)
         except SystemExit as exc:  # --help
             return int(exc.code or 0)
-        bindings = {key: value for key, value in vars(namespace).items()
-                    if key not in ("subcommand", "format", "output")}
-        config = RunConfig(
-            subcommand=Subcommand(namespace.subcommand),
-            bindings=bindings,
-            output_format=namespace.format,
-            output_path=namespace.output,
-        )
-        header, rows, payload = _HANDLERS[config.subcommand](config)
-        text = _render(config, header, rows, payload)
+        text = _render(args.format, *args.handler(args))
     except UsageError as exc:
         _error_record(exc)
         return 2
@@ -539,8 +487,8 @@ def run(argv: Sequence[str] | None = None) -> int:
     except NumericalError as exc:
         _error_record(exc)
         return 4
-    if config.output_path is not None:
-        Path(config.output_path).write_text(text)
+    if args.output is not None:
+        Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
     return 0

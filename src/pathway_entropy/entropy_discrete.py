@@ -60,7 +60,6 @@ __all__ = [
     "entropy_from_power_sum",
     "entropy",
     "product_distribution",
-    "joint_entropy_product",
     "composition_coefficient",
     "composition_residual_bivariate",
     "composition_residual_trivariate",
@@ -270,21 +269,19 @@ def composition_coefficient(family: EntropyFamily, order: AlphaOrder) -> float:
     return a - 1.0  # MATHAI_M
 
 
+def _merged_policy(p: DiscreteDistribution, q: DiscreteDistribution) -> ZeroPolicy:
+    # A distribution built from two others tolerates zeros if either does.
+    if (p.zero_policy is ZeroPolicy.ZERO_INDIFFERENT
+            or q.zero_policy is ZeroPolicy.ZERO_INDIFFERENT):
+        return ZeroPolicy.ZERO_INDIFFERENT
+    return ZeroPolicy.STRICT_POSITIVE
+
+
 def product_distribution(p: DiscreteDistribution,
                          q: DiscreteDistribution) -> DiscreteDistribution:
     """Outer-product (independent joint) distribution, row-major flattened."""
     joint = np.outer(p.probs, q.probs).ravel()
-    if (p.zero_policy is ZeroPolicy.ZERO_INDIFFERENT
-            or q.zero_policy is ZeroPolicy.ZERO_INDIFFERENT):
-        policy = ZeroPolicy.ZERO_INDIFFERENT
-    else:
-        policy = ZeroPolicy.STRICT_POSITIVE
-    return DiscreteDistribution(joint, policy)
-
-
-def joint_entropy_product(p: DiscreteDistribution, q: DiscreteDistribution,
-                          family: EntropyFamily, order: AlphaOrder) -> float:
-    return entropy(product_distribution(p, q), family, order)
+    return DiscreteDistribution(joint, _merged_policy(p, q))
 
 
 def composition_residual_bivariate(p: DiscreteDistribution, q: DiscreteDistribution,
@@ -292,7 +289,7 @@ def composition_residual_bivariate(p: DiscreteDistribution, q: DiscreteDistribut
     """F(PQ) - [F(P) + F(Q) + a(alpha) F(P) F(Q)], signed."""
     fp = entropy(p, family, order)
     fq = entropy(q, family, order)
-    fpq = joint_entropy_product(p, q, family, order)
+    fpq = entropy(product_distribution(p, q), family, order)
     coef = composition_coefficient(family, order)
     return fpq - (fp + fq + coef * fp * fq)
 
@@ -373,12 +370,8 @@ def shannon_recursivity_residual(p: DiscreteDistribution,
     qv = q.probs
     pm = float(pv[-1])
     combined = np.concatenate((pv[:-1], pm * qv))
-    if (p.zero_policy is ZeroPolicy.ZERO_INDIFFERENT
-            or q.zero_policy is ZeroPolicy.ZERO_INDIFFERENT):
-        policy = ZeroPolicy.ZERO_INDIFFERENT
-    else:
-        policy = ZeroPolicy.STRICT_POSITIVE
-    h_combined = entropy(DiscreteDistribution(combined, policy), SHANNON)
+    h_combined = entropy(DiscreteDistribution(combined, _merged_policy(p, q)),
+                         SHANNON)
     h_p = entropy(p, SHANNON)
     h_q = entropy(q, SHANNON)
     return h_combined - (h_p + pm * h_q)

@@ -188,10 +188,13 @@ def trapezoid_weights(grid: np.ndarray) -> np.ndarray:
 
 
 def _bracket(lam: np.ndarray, exponents: Sequence[float], x: np.ndarray) -> np.ndarray:
+    # Runs on every quadrature batch: fill and in-place adds spare the
+    # temporaries that would double its cost.
     x = np.asarray(x, dtype=float)
-    acc = np.full(x.shape, lam[0])
-    for coeff, expo in zip(lam[1:], exponents):
-        acc = acc + coeff * np.power(x, expo)
+    acc = np.empty(x.shape)
+    acc.fill(lam[0])
+    for coeff, expo in zip(lam[1:].tolist(), exponents):
+        acc += coeff * np.power(x, expo)
     return acc
 
 
@@ -229,9 +232,14 @@ def stationary_density(order: AlphaOrder, multipliers: Sequence[float],
     return f
 
 
-def _quad(f: Callable, lower: float, upper: float) -> float:
-    return integrate(f, QuadratureSpec(lower, upper, rel_tol=_QUAD_REL,
-                                       abs_tol=_QUAD_ABS))
+def _moment(shape: Callable[[np.ndarray], np.ndarray], expo: float,
+            lower: float, upper: float) -> float:
+    def integrand(x: np.ndarray) -> np.ndarray:
+        return np.power(np.asarray(x, dtype=float), expo) * shape(x)
+
+    # expo 0 skips the power, which is exactly 1 but costs a third of a call
+    spec = QuadratureSpec(lower, upper, rel_tol=_QUAD_REL, abs_tol=_QUAD_ABS)
+    return integrate(shape if expo == 0.0 else integrand, spec)
 
 
 def _guard_positive(alpha: float, lam: np.ndarray, exponents: Sequence[float],
@@ -248,17 +256,12 @@ def _guard_positive(alpha: float, lam: np.ndarray, exponents: Sequence[float],
 
 def _constraint_gaps(alpha: float, lam: np.ndarray, exponents: Sequence[float],
                      targets: Sequence[float], lower: float, upper: float) -> np.ndarray:
-    power = 1.0 / (1.0 - alpha)
+    def f(x: np.ndarray) -> np.ndarray:
+        return _family_power(alpha, lam, exponents, x, 1.0 / (1.0 - alpha))
 
-    def moment(expo: float) -> float:
-        if expo == 0.0:
-            return _quad(lambda x: _family_power(alpha, lam, exponents, x, power),
-                         lower, upper)
-        return _quad(lambda x: np.power(np.asarray(x, dtype=float), expo)
-                     * _family_power(alpha, lam, exponents, x, power), lower, upper)
-
-    gaps = np.array([moment(0.0) - 1.0]
-                    + [moment(e) - t for e, t in zip(exponents, targets)])
+    gaps = np.array([_moment(f, 0.0, lower, upper) - 1.0]
+                    + [_moment(f, e, lower, upper) - t
+                       for e, t in zip(exponents, targets)])
     if not np.all(np.isfinite(gaps)):
         raise NonFinite("constraint integral did not come out finite")
     return gaps
@@ -270,19 +273,15 @@ def _jacobian(alpha: float, lam: np.ndarray, exponents: Sequence[float],
     #                        / ((1 - alpha) (2 - alpha)); symmetric.
     all_exps = (0.0,) + tuple(exponents)
     coeff = 1.0 / ((1.0 - alpha) * (2.0 - alpha))
-    power = alpha / (1.0 - alpha)
+
+    def f_alpha(x: np.ndarray) -> np.ndarray:
+        return _family_power(alpha, lam, exponents, x, alpha / (1.0 - alpha))
+
     n = len(all_exps)
     jac = np.empty((n, n))
     for j in range(n):
         for k in range(j, n):
-            expo = all_exps[j] + all_exps[k]
-            if expo == 0.0:
-                val = _quad(lambda x: _family_power(alpha, lam, exponents, x, power),
-                            lower, upper)
-            else:
-                val = _quad(lambda x: np.power(np.asarray(x, dtype=float), expo)
-                            * _family_power(alpha, lam, exponents, x, power),
-                            lower, upper)
+            val = _moment(f_alpha, all_exps[j] + all_exps[k], lower, upper)
             jac[j, k] = jac[k, j] = coeff * val
     return jac
 
@@ -429,15 +428,22 @@ def solve(problem: MaxEntProblem) -> MaxEntSolution:
     )
 
 
+def _escort_shape(alpha: float, lam3: float, delta: float,
+                  power: float) -> Callable[[np.ndarray], np.ndarray]:
+    # (1 + lam3 x**delta)**power, clipped like the plain family's bracket.
+    lam = np.array([1.0, lam3])
+
+    def shape(x: np.ndarray) -> np.ndarray:
+        return _clipped_power(_bracket(lam, (delta,), x), power, alpha)
+
+    return shape
+
+
 def _escort_mean(alpha: float, lam3: float, delta: float, lower: float,
                  upper: float) -> float:
-    def weight(x: np.ndarray) -> np.ndarray:
-        b = 1.0 + lam3 * np.power(np.asarray(x, dtype=float), delta)
-        return _clipped_power(b, alpha / (1.0 - alpha), alpha)
-
-    num = _quad(lambda x: np.power(np.asarray(x, dtype=float), delta)
-                * weight(x), lower, upper)
-    den = _quad(weight, lower, upper)
+    weight = _escort_shape(alpha, lam3, delta, alpha / (1.0 - alpha))
+    num = _moment(weight, delta, lower, upper)
+    den = _moment(weight, 0.0, lower, upper)
     if den <= 0.0 or not (math.isfinite(num) and math.isfinite(den)):
         raise NonFinite("escort weight carried no mass on the span")
     return num / den
@@ -481,13 +487,8 @@ def solve_escort(problem: MaxEntProblem, delta: float = 1.0, *,
                               "on the span")
         lam3 = float(lambda3)
 
-    expo = 1.0 / (1.0 - alpha)
-
-    def shape(x: np.ndarray) -> np.ndarray:
-        b = 1.0 + lam3 * np.power(np.asarray(x, dtype=float), delta)
-        return _clipped_power(b, expo, alpha)
-
-    mass = _quad(shape, lower, upper)
+    shape = _escort_shape(alpha, lam3, delta, 1.0 / (1.0 - alpha))
+    mass = _moment(shape, 0.0, lower, upper)
     if mass <= 0.0 or not math.isfinite(mass):
         raise Infeasible("escort family carries no normalizable mass on the span")
     lam1 = 1.0 / mass

@@ -107,9 +107,9 @@ class SweepReport:
     h: float
 
 
-def default_step(x: float) -> float:
-    """Central-difference step: cbrt(eps) * max(1, |x|)."""
-    return float(np.cbrt(np.finfo(float).eps)) * max(1.0, abs(x))
+def default_step(x):
+    """Central-difference step: cbrt(eps) * max(1, |x|), elementwise."""
+    return float(np.cbrt(np.finfo(float).eps)) * np.maximum(1.0, np.abs(x))
 
 
 def _rhs(case: OdeCase, x: float, g: float) -> float:
@@ -133,30 +133,40 @@ def _rhs(case: OdeCase, x: float, g: float) -> float:
     return -p.s * g ** p.alpha  # TSALLIS_ALPHA
 
 
+def _residuals(case: OdeCase, xs: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    # One kernel call per stencil column.  The right side stays a per-point
+    # call on Python floats: numpy's array pow/exp differ from libm in the
+    # last bit on some points, which would move the reported residuals.
+    if not np.all(steps > 0):
+        raise DomainError(f"step must be positive, got {float(np.min(steps))}")
+    interval = support(case.params)
+    outside = ~((xs - steps > interval.lower) & (xs + steps < interval.upper))
+    if np.any(outside):
+        k = int(np.argmax(outside))
+        x, h = float(xs[k]), float(steps[k])
+        raise DomainError(
+            f"stencil [{x - h}, {x + h}] leaves the open support "
+            f"({interval.lower}, {interval.upper})")
+    g_minus = kernel(case.params, xs - steps)
+    g = kernel(case.params, xs)
+    g_plus = kernel(case.params, xs + steps)
+    derivative = (g_plus - g_minus) / (2.0 * steps)
+    if case.reduction in (OdeReduction.TSALLIS_ETA, OdeReduction.TSALLIS_ALPHA):
+        lhs = derivative
+    else:
+        lhs = xs * derivative
+    rhs = np.array([_rhs(case, x, gx) for x, gx in zip(xs.tolist(), g.tolist())])
+    return np.abs(lhs - rhs)
+
+
 def residual(case: OdeCase, x: float, h: float | None = None) -> float:
     """|LHS - RHS| at x with g' from the (x-h, x+h) central difference.
 
     LHS is x g'(x) for the general and reduced forms, g'(x) for the two
     tsallis forms.
     """
-    if h is None:
-        h = default_step(x)
-    if not h > 0:
-        raise DomainError(f"step must be positive, got {h}")
-    interval = support(case.params)
-    if not (x - h > interval.lower and x + h < interval.upper):
-        raise DomainError(
-            f"stencil [{x - h}, {x + h}] leaves the open support "
-            f"({interval.lower}, {interval.upper})")
-    g_minus = kernel(case.params, x - h)
-    g_plus = kernel(case.params, x + h)
-    derivative = (g_plus - g_minus) / (2.0 * h)
-    g = kernel(case.params, x)
-    if case.reduction in (OdeReduction.TSALLIS_ETA, OdeReduction.TSALLIS_ALPHA):
-        lhs = derivative
-    else:
-        lhs = x * derivative
-    return abs(lhs - _rhs(case, x, g))
+    step = default_step(x) if h is None else h
+    return float(_residuals(case, np.array([float(x)]), np.array([float(step)]))[0])
 
 
 def _sweep_window(case: OdeCase) -> tuple[float, float]:
@@ -185,15 +195,8 @@ def residual_sweep(case: OdeCase, n_points: int,
         xs = np.array([math.sqrt(lo * hi)])
     else:
         xs = np.geomspace(lo, hi, n_points)
-    worst = -1.0
-    where = xs[0]
-    used_h = h if h is not None else default_step(float(xs[-1]))
-    for x in xs:
-        step = h if h is not None else default_step(float(x))
-        value = residual(case, float(x), step)
-        if value > worst:
-            worst = value
-            where = float(x)
-            used_h = step
-    return SweepReport(max_residual=worst, argmax=where,
-                       n_points=int(n_points), h=float(used_h))
+    steps = default_step(xs) if h is None else np.full(xs.shape, float(h))
+    values = _residuals(case, xs, steps)
+    k = int(np.argmax(values))
+    return SweepReport(max_residual=float(values[k]), argmax=float(xs[k]),
+                       n_points=int(n_points), h=float(steps[k]))

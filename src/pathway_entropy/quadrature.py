@@ -20,7 +20,13 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import DomainError, NoSignChange, NonConvergence, NonFinite
+from .errors import (
+    DomainError,
+    NoSignChange,
+    NonConvergence,
+    NonFinite,
+    PathwayEntropyError,
+)
 
 __all__ = ["QuadratureSpec", "integrate", "find_root"]
 
@@ -90,7 +96,9 @@ class QuadratureSpec:
 
 class _Evaluator:
     """Calls the integrand on node batches, vectorizing when the callable
-    accepts arrays and silently falling back to a scalar loop otherwise."""
+    accepts arrays and silently falling back to a scalar loop otherwise.
+    The package's own errors are answers, not a sign of a scalar-only
+    callable, so they propagate from the first batch at once."""
 
     def __init__(self, f: Callable[[float], float]):
         self._f = f
@@ -102,6 +110,8 @@ class _Evaluator:
             # array of the batch's shape without raising
             try:
                 out = np.asarray(self._f(x))
+            except PathwayEntropyError:
+                raise
             except Exception:
                 out = None
             self._vectorized = out is not None and out.shape == x.shape

@@ -293,3 +293,96 @@ def test_ppp_triples_listing(capsys):
 def test_help_exits_zero(capsys):
     assert run_capture(capsys, "--help")[0] == 0
     assert run_capture(capsys, "maxent", "--help")[0] == 0
+
+
+def _records(key):
+    def rows(payload, header):
+        assert all(list(record) == header for record in payload[key])
+        return [list(record.values()) for record in payload[key]]
+    return rows
+
+
+def _maxent_rows(payload, header):
+    rows = [["density", i, x, v] for i, (x, v) in
+            enumerate(zip(payload["grid"], payload["density"]))]
+    rows += [["multiplier", j, math.nan, m]
+             for j, m in enumerate(payload["multipliers"])]
+    return rows + [["objective", 0, math.nan, payload["objective"]],
+                   ["euler_residual", 0, math.nan, payload["euler_residual"]]]
+
+
+_MAXENT_KEYS = ["variant", "grid", "density", "multipliers", "objective",
+                "euler_residual"]
+_ODE_HEADER = ["reduction", "alpha", "gamma", "delta", "s", "beta", "eta",
+               "n_points", "h", "max_residual", "argmax"]
+
+# (argv, JSON top-level keys in order, JSON payload -> CSV rows)
+_FORMAT_CASES = [
+    (["entropy", "--family", "all", "--alpha", "0.5:1.5:0.5",
+      "--probs", "0.2,0.3,0.5"], ["rows"], _records("rows")),
+    (["compose", "--family", "all", "--alpha", "0.7", "--probs", "0.4,0.6",
+      "--probs2", "0.1,0.9"], ["law", "rows"], _records("rows")),
+    (["compose", "--family", "tsallis", "--alpha", "1.5", "--probs", "0.5,0.5",
+      "--probs2", "0.3,0.7", "--probs3", "0.6,0.4"], ["law", "rows"],
+     _records("rows")),
+    (["pathway", "--special", "gaussian_half", "--reflect", "--table=-1:1:0.5",
+      "--with-cdf"], ["params", "reflect", "table"], _records("table")),
+    (["pathway", "--alpha", "0.5", "--gamma", "2", "--table", "0:2:0.25"],
+     ["params", "reflect", "table"], _records("table")),
+    (["pathway", "--alpha", "1.5", "--sample", "8", "--seed", "3"],
+     ["params", "seed", "sample"],
+     lambda payload, header: [[i, v] for i, v in enumerate(payload["sample"])]),
+    (["pathway", "--alpha", "0.7", "--gamma", "2", "--delta", "1.5",
+      "--constant"], ["params", "closed", "quadrature"],
+     lambda payload, header: [[payload[key] for key in header]]),
+    (["maxent", "--alpha", "0.5", "--grid", "0:2:0.2", "--moment", "1:0.5"],
+     _MAXENT_KEYS, _maxent_rows),
+    (["maxent", "--alpha", "1.5", "--grid", "0:10:0.5", "--escort",
+      "--lambda3", "0.5"], _MAXENT_KEYS, _maxent_rows),
+    (["ode", "--reduction", "tsallis_eta", "--alpha", "1.5", "--beta", "2",
+      "--points", "11", "--h", "1e-5"], _ODE_HEADER,
+     lambda payload, header: [list(payload.values())]),
+    (["ppp", "--scan", "30"], ["scan"], _records("scan")),
+    (["ppp", "--n", "36"], ["n", "triples"],
+     lambda payload, header: [[payload["n"], *t] for t in payload["triples"]]),
+    (["inaccuracy", "--true", "0.5,0.5", "--assigned", "0.6,0.4",
+      "--alpha", "0.5:1.9:0.2"], ["rows"], _records("rows")),
+]
+
+
+def _cells(rows):
+    return [[c if isinstance(c, str) else repr(float(c)) for c in row]
+            for row in rows]
+
+
+@pytest.mark.parametrize("argv, keys, json_rows", _FORMAT_CASES,
+                         ids=[" ".join(case[0][:3]) for case in _FORMAT_CASES])
+def test_json_matches_csv_in_every_mode(capsys, argv, keys, json_rows):
+    code, csv_out, _ = run_capture(capsys, *argv)
+    assert code == 0
+    code, json_out, _ = run_capture(capsys, *argv, "--format", "json")
+    assert code == 0
+    header, rows = read_csv_text(csv_out)
+    payload = json.loads(json_out)
+    assert list(payload) == keys
+    assert rows and _cells(json_rows(payload, header)) == _cells(rows)
+
+
+def test_zero_sample_count_is_an_empty_sample(capsys):
+    base = ("pathway", "--alpha", "1.5", "--sample")
+    code, out, _ = run_capture(capsys, *base, "0")
+    assert code == 0 and out == "index,value\n"
+    code, out, _ = run_capture(capsys, *base, "0", "--format", "json")
+    assert code == 0 and json.loads(out)["sample"] == []
+    code, out, err = run_capture(capsys, *base, "-1")
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "DomainError"
+
+
+@pytest.mark.parametrize("flag", ["--reflect", "--with-cdf"])
+@pytest.mark.parametrize("mode", [("--sample", "5"), ("--constant",)])
+def test_table_flags_rejected_outside_table(capsys, flag, mode):
+    code, out, err = run_capture(capsys, "pathway", "--special",
+                                 "gaussian_half", flag, *mode)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "UsageError"

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from pathway_entropy.errors import DomainError
@@ -144,3 +145,56 @@ def test_three_way_agreement_with_analytic_derivative():
     assert numeric == pytest.approx(analytic, rel=1e-8)
     # residual against the closed-form RHS closes the triangle
     assert residual(OdeCase(params), x, h) <= 1e-10
+
+
+def _pointwise_sweep(case, n_points, h):
+    # Reference: the scalar loop, three scalar kernel calls per point and the
+    # first maximum kept.
+    from pathway_entropy.ode_check import _rhs, _sweep_window
+    lo, hi = _sweep_window(case)
+    xs = np.geomspace(lo, hi, n_points) if n_points > 1 else [math.sqrt(lo * hi)]
+    tsallis = case.reduction in (OdeReduction.TSALLIS_ETA,
+                                 OdeReduction.TSALLIS_ALPHA)
+    best = None
+    for x in map(float, xs):
+        step = h if h is not None else float(default_step(x))
+        g_minus = kernel(case.params, x - step)
+        g_plus = kernel(case.params, x + step)
+        derivative = (g_plus - g_minus) / (2.0 * step)
+        lhs = derivative if tsallis else x * derivative
+        value = abs(lhs - _rhs(case, x, kernel(case.params, x)))
+        if best is None or value > best[0]:
+            best = (value, x, step)
+    return best
+
+
+def test_sweep_matches_pointwise_loop_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for i in range(90):
+        gamma, delta = rng.uniform(0.5, 3.0), rng.uniform(0.5, 2.5)
+        s, beta = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
+        alpha = (rng.uniform(0.2, 0.9), 1.0, rng.uniform(1.1, 1.8))[i % 3]
+        if alpha > 1.0:
+            beta = (alpha - 1.0) * (gamma / delta + rng.uniform(0.5, 6.0))
+        case = OdeCase(PathwayParams(float(alpha), float(gamma), float(delta),
+                                     float(s), float(beta)))
+        n_points = int(rng.integers(1, 120))
+        h = None if i % 2 else float(10.0 ** rng.uniform(-6, -3))
+        report = residual_sweep(case, n_points, h)
+        assert (report.max_residual, report.argmax, report.h) == \
+            _pointwise_sweep(case, n_points, h)
+
+
+def test_sweep_makes_three_kernel_calls(monkeypatch):
+    from pathway_entropy import ode_check
+    calls = []
+
+    def counted(params, x):
+        calls.append(np.size(x))
+        return kernel(params, x)
+
+    monkeypatch.setattr(ode_check, "kernel", counted)
+    case = OdeCase(PathwayParams(alpha=1.5, gamma=1.0, delta=1.0, s=1.0,
+                                 beta_exp=2.0), OdeReduction.TSALLIS_ETA)
+    residual_sweep(case, 200)
+    assert calls == [200, 200, 200]

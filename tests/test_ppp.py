@@ -51,6 +51,14 @@ def _primes(limit: int) -> list[int]:
     return [i for i, flag in enumerate(sieve) if flag]
 
 
+def test_independent_events_exactly_when_triples_exist():
+    for n in range(2, 1001):
+        assert has_independent_events(n) == (
+            len(independent_event_triples(n).triples) > 0)
+    with pytest.raises(DomainError):
+        has_independent_events(1)
+
+
 def test_primes_have_no_solutions_to_1000():
     counts = dict(scan(1000))
     for p in _primes(1000):

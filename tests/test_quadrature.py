@@ -65,6 +65,18 @@ def test_vectorization_is_decided_on_the_first_batch():
     assert len(sizes) == 1 and sizes[0] % 15 == 0
 
 
+def test_package_error_in_first_batch_is_not_retried_as_scalars():
+    calls = []
+
+    def f(x):
+        calls.append(np.ndim(x))
+        raise DomainError("outside the integrand's domain")
+
+    with pytest.raises(DomainError):
+        integrate(f, QuadratureSpec(0.0, 1.0))
+    assert calls == [1]
+
+
 def test_budget_exhaustion_raises():
     spec = QuadratureSpec(0.0, 1.0, rel_tol=1e-14, abs_tol=1e-16, max_subdivisions=2)
     with pytest.raises(NonConvergence):
