@@ -37,11 +37,11 @@ delta or extreme x never produce inf * 0 intermediates.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import betainc, betaincinv, gammainc, gammaincinv
 
 from .entropy_continuous import DensitySpec
 from .errors import DomainError, NotNormalizable, UnknownName
@@ -238,6 +238,14 @@ def density(params: PathwayParams, x):
     return c * value
 
 
+@functools.cache
+def _special():
+    """scipy.special, imported on the first `cdf` or `quantile` call: it is
+    most of the package's import time and nothing else here needs it."""
+    import scipy.special
+    return scipy.special
+
+
 def cdf(params: PathwayParams, x: float) -> float:
     """P(X <= x): the regularized incomplete Beta or Gamma function at the
     substituted point t = s|1-alpha| x^delta."""
@@ -251,15 +259,16 @@ def cdf(params: PathwayParams, x: float) -> float:
         return 1.0
     r, q, scale = _substitution(params)
     t = scale * x ** params.delta
+    sp = _special()
     if q is None:
-        return float(gammainc(r, t))
+        return float(sp.gammainc(r, t))
     if params.alpha < 1.0:
-        return float(betainc(r, q, min(t, 1.0)))
+        return float(sp.betainc(r, q, min(t, 1.0)))
     if t <= 1.0:
-        return float(betainc(r, q, t / (1.0 + t)))
+        return float(sp.betainc(r, q, t / (1.0 + t)))
     # beyond t = 1 the upper tail comes from 1/(1+t), which keeps its digits
     # as t grows where t/(1+t) rounds to 1
-    return float(1.0 - betainc(q, r, 1.0 / (1.0 + t)))
+    return float(1.0 - sp.betainc(q, r, 1.0 / (1.0 + t)))
 
 
 def quantile(params: PathwayParams, u: float) -> float:
@@ -273,17 +282,18 @@ def quantile(params: PathwayParams, u: float) -> float:
         return support(params).upper
     _require_normalizable(params)
     r, q, scale = _substitution(params)
+    sp = _special()
     if q is None:
-        t = gammaincinv(r, u)
+        t = sp.gammaincinv(r, u)
     elif params.alpha < 1.0:
-        t = betaincinv(r, q, u)
+        t = sp.betaincinv(r, q, u)
     elif u <= 0.5:
-        w = betaincinv(r, q, u)
+        w = sp.betaincinv(r, q, u)
         t = w / (1.0 - w)
     else:
         # 1 - w from the complementary inverse keeps t = w/(1-w) finite and
         # accurate far out in the power tail
-        v = betaincinv(q, r, 1.0 - u)
+        v = sp.betaincinv(q, r, 1.0 - u)
         t = (1.0 - v) / v
     return float(_x_of_t(params, scale, t))
 

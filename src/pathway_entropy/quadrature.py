@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     DomainError,
@@ -67,6 +67,9 @@ _W_GAUSS[[1, 3, 5, 7, 9, 11, 13]] = np.concatenate((_WG[:3], _WG[3:4], _WG[2::-1
 
 _HEAD_PANELS = 8      # initial uniform split of the integration interval
 _BATCH = 4            # worst panels refined per sweep
+
+_ROOT_MAX_ITER = 300                          # Brent steps before NonConvergence
+_ROOT_RTOL = 4.0 * sys.float_info.epsilon     # relative part of the root tolerance
 
 
 @dataclass(frozen=True)
@@ -229,11 +232,15 @@ def integrate(f: Callable[[float], float], spec: QuadratureSpec) -> float:
 def find_root(f: Callable[[float], float], bracket: Sequence[float], tol: float) -> float:
     """Locate a sign change of f inside `bracket` to width `tol`.
 
-    Bracketing Brent iteration: convergence is guaranteed once the endpoints
-    straddle a sign change; otherwise NoSignChange is raised.
+    Bracketing Brent iteration (Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 4) following scipy's `brentq` step for step, so
+    the roots are the same bits: convergence is guaranteed once the
+    endpoints straddle a sign change; otherwise NoSignChange is raised.
+    NonFinite is raised when f returns NaN, NonConvergence after 300 steps.
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    tol = float(tol)
+    if not tol > 0:
+        raise DomainError(f"tol must be positive, got {tol!r}")
     a, b = float(bracket[0]), float(bracket[1])
     if not a < b:
         raise DomainError(f"need bracket[0] < bracket[1], got {bracket!r}")
@@ -248,7 +255,43 @@ def find_root(f: Callable[[float], float], bracket: Sequence[float], tol: float)
     if (fa > 0) == (fb > 0):
         raise NoSignChange(
             f"f({a}) = {fa:.6g} and f({b}) = {fb:.6g} have the same sign")
-    try:
-        return float(brentq(f, a, b, xtol=tol, maxiter=300))
-    except RuntimeError as exc:  # iteration budget exceeded
-        raise NonConvergence(str(exc)) from exc
+    # xcur is the best iterate, xblk the contrapoint across the sign change,
+    # xpre the previous iterate; scur and spre are the last two steps
+    xpre, fpre, xcur, fcur = a, fa, b, fb
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_ROOT_MAX_ITER):
+        if (fpre > 0) != (fcur > 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (tol + _ROOT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant step
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic step
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # IEEE division gives inf or nan: bisect
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(f(xcur))
+        if math.isnan(fcur):
+            raise NonFinite(f"f({xcur!r}) evaluated to NaN")
+    raise NonConvergence(f"Failed to converge after {_ROOT_MAX_ITER} iterations.")

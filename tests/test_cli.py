@@ -1,10 +1,14 @@
 """Exit codes, formats, and determinism of the command-line front end."""
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import pathway_entropy
 from pathway_entropy.cli import parse_sweep, read_csv, run
 from pathway_entropy.errors import UsageError
 
@@ -386,3 +390,33 @@ def test_table_flags_rejected_outside_table(capsys, flag, mode):
                                  "gaussian_half", flag, *mode)
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "UsageError"
+
+
+# Cold start: the package imports numpy only, scipy.special comes in with the
+# first cdf or quantile, and scipy.optimize is never loaded, escort fits too.
+_IMPORT_PROBE = """
+import sys
+
+import numpy as np
+
+def loaded():
+    return {m for m in sys.modules if m == "scipy" or m.startswith("scipy.")}
+
+import pathway_entropy.cli
+print(sorted(loaded()))
+import pathway_entropy as pe
+pe.cdf(pe.PathwayParams(alpha=1.5), 0.7)
+print("scipy.special" in loaded(), "scipy.optimize" in loaded())
+pe.solve_escort(pe.MaxEntProblem(np.linspace(0.0, 50.0, 101), pe.AlphaOrder(1.5),
+                                 (pe.MomentConstraint(1.0, 50.0 / 27.0),),
+                                 pe.MaxEntVariant.ESCORT))
+print("scipy.optimize" in loaded())
+"""
+
+
+def test_cold_import_loads_scipy_special_on_demand_and_never_scipy_optimize():
+    src = os.path.dirname(os.path.dirname(pathway_entropy.__file__))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True False", "False"]

@@ -142,3 +142,56 @@ def test_find_root_no_sign_change():
 
 def test_find_root_endpoint_zero():
     assert find_root(lambda x: x - 1.0, (1.0, 2.0), 1e-12) == 1.0
+
+
+def test_find_root_nan_mid_iteration_is_non_finite():
+    # finite at the bracket ends, NaN at every interior point
+    with pytest.raises(NonFinite):
+        find_root(lambda x: x - 0.25 if x in (0.0, 1.0) else math.nan, (0.0, 1.0), 1e-12)
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-12])
+def test_find_root_rejects_invalid_tol(tol):
+    with pytest.raises(DomainError):
+        find_root(lambda x: x - 0.25, (0.0, 1.0), tol)
+
+
+def test_find_root_returns_a_python_float():
+    root = find_root(lambda x: np.float64(x) ** 3 - 0.2, (np.float64(0.0), 1.0),
+                     np.float64(1e-13))
+    assert type(root) is float
+
+
+# Shapes for the brentq comparison, each with its root at c: smooth, flat
+# (cubic), saturating (tanh), a step, a wiggle that bends the secant, and a
+# tiny scale whose divided differences underflow, so that the interpolation
+# steps divide by zero.
+_ROOT_SHAPES = (
+    lambda c: lambda x: x - c,
+    lambda c: lambda x: (x - c) ** 3,
+    lambda c: lambda x: math.tanh(40.0 * (x - c)),
+    lambda c: lambda x: -1.0 if x < c else 1.0,
+    lambda c: lambda x: math.exp(0.1 * x) - math.exp(0.1 * c),
+    lambda c: lambda x: (x - c) * (1.0 + (x - c) ** 2) - 1e-3 * math.sin(40.0 * (x - c)),
+    lambda c: lambda x: (x - c) * abs(x - c) ** 0.1,
+    lambda c: lambda x: 1e-300 * (x - c),
+)
+
+
+def test_find_root_matches_scipy_brentq_bit_for_bit():
+    from scipy.optimize import brentq
+
+    rng = np.random.default_rng(20240607)
+    for i in range(2100):
+        c = float(rng.uniform(-10.0, 10.0) * 10.0 ** rng.integers(-3, 3))
+        width = 10.0 ** rng.uniform(-3.0, 3.0)
+        a, b = c - width * rng.uniform(0.01, 1.0), c + width * rng.uniform(0.01, 1.0)
+        f = _ROOT_SHAPES[i % len(_ROOT_SHAPES)](c)
+        tol = float(10.0 ** rng.uniform(-15.0, -4.0))
+        expected = brentq(f, a, b, xtol=tol, maxiter=300)
+        assert find_root(f, (a, b), tol) == expected, (i, a, b, tol)
+
+
+def test_find_root_iteration_budget():
+    with pytest.raises(NonConvergence):
+        find_root(lambda x: -1.0 if x < 0.0 else 1.0, (-1e300, 1e300), 1e-300)
