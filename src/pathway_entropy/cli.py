@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Sequence
 
@@ -189,11 +190,6 @@ def _pathway_params(args: argparse.Namespace) -> PathwayParams:
     )
 
 
-def _params_record(params: PathwayParams) -> dict:
-    return {"alpha": params.alpha, "gamma": params.gamma, "delta": params.delta,
-            "s": params.s, "beta_exp": params.beta_exp}
-
-
 def _default_seed(explicit: int | None) -> int:
     if explicit is not None:
         return explicit
@@ -237,19 +233,19 @@ def _cmd_pathway(args: argparse.Namespace):
             header.append("cdf")
             columns.append(cum)
         rows = [list(row) for row in zip(*columns)]
-        envelope = {"params": _params_record(params), "reflect": reflect}
+        envelope = {"params": asdict(params), "reflect": reflect}
         return header, rows, envelope, "table"
 
     if args.sample_n is not None:
         seed = _default_seed(args.seed)
         draws = sample(params, args.sample_n, seed)
         rows = [[i, v] for i, v in enumerate(draws)]
-        payload = {"params": _params_record(params), "seed": seed,
+        payload = {"params": asdict(params), "seed": seed,
                    "sample": [float(v) for v in draws]}
         return ["index", "value"], rows, payload, None
 
     row = [normalizing_constant(params), normalizing_constant_quadrature(params)]
-    envelope = {"params": _params_record(params)}
+    envelope = {"params": asdict(params)}
     return ["closed", "quadrature"], [row], envelope, _ONE_ROW
 
 

@@ -26,11 +26,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .entropy_continuous import DensitySpec, continuous_entropy, density_power_integral
+from .entropy_continuous import DensitySpec, _values, density_power_integral
 from .entropy_discrete import (
+    HAVRDA_CHARVAT,
     MATHAI_M,
     AlphaOrder,
     DiscreteDistribution,
+    entropy_from_power_sum,
     validate_order,
 )
 from .errors import DomainError, InvalidOrder
@@ -76,14 +78,6 @@ class InaccuracyInput:
             raise InvalidOrder(f"inaccuracy needs alpha > 0, alpha != 1, got {a}")
 
 
-def _tightened(spec: QuadratureSpec | None, lower: float, upper: float) -> QuadratureSpec:
-    if spec is None:
-        spec = QuadratureSpec(lower, upper)
-    return replace(spec, lower=lower, upper=upper,
-                   rel_tol=max(spec.rel_tol / 100.0, 1e-13),
-                   abs_tol=max(spec.abs_tol / 100.0, 1e-15))
-
-
 def m_alpha_expectation_residual(f: DensitySpec, order: AlphaOrder,
                                  spec: QuadratureSpec | None = None) -> float:
     """|direct power-integral route - expectation route| for the order-alpha
@@ -92,12 +86,13 @@ def m_alpha_expectation_residual(f: DensitySpec, order: AlphaOrder,
     a = order.alpha
     if a == 1.0:
         raise InvalidOrder("the expectation form needs alpha != 1")
-    run = _tightened(spec, f.lower, f.upper)
+    run = f.quadrature_spec(spec)
+    run = replace(run, rel_tol=max(run.rel_tol / 100.0, 1e-13),
+                  abs_tol=max(run.abs_tol / 100.0, 1e-15))
     direct = (density_power_integral(f, 2.0 - a, run) - 1.0) / (a - 1.0)
 
     def expectation_integrand(x):
-        v = np.asarray(f.pdf(x), dtype=float)
-        v = np.where(v > 0.0, v, 0.0)
+        v = _values(f, x)
         return np.where(v > 0.0, v * np.where(v > 0.0, v, 1.0) ** (1.0 - a), 0.0)
 
     expected = (integrate(expectation_integrand, run) - 1.0) / (a - 1.0)
@@ -115,15 +110,12 @@ def kerridge_inaccuracy(inp: InaccuracyInput,
         expected = math.fsum(terms.tolist())
     else:
         def integrand(x):
-            fv = np.asarray(f.pdf(x), dtype=float)
-            fv = np.where(fv > 0.0, fv, 0.0)
+            fv = _values(f, x)
             qv = np.asarray(q.pdf(x), dtype=float)
             if np.any((fv > 0.0) & (qv <= 0.0)):
                 raise DomainError("assigned density is zero where f has mass")
             qv = np.where(fv > 0.0, qv, 1.0)
             return np.where(fv > 0.0, fv * qv ** (a - 1.0), 0.0)
 
-        run = spec if spec is not None else QuadratureSpec(f.lower, f.upper)
-        run = replace(run, lower=f.lower, upper=f.upper)
-        expected = integrate(integrand, run)
-    return (expected - 1.0) / (2.0 ** (1.0 - a) - 1.0)
+        expected = integrate(integrand, f.quadrature_spec(spec))
+    return entropy_from_power_sum(HAVRDA_CHARVAT, inp.order, expected)

@@ -23,14 +23,11 @@ import numpy as np
 from .entropy_discrete import (
     AlphaOrder,
     EntropyFamily,
-    FamilyTag,
+    _from_statistic,
     composition_coefficient,
-    entropy_from_power_sum,
-    power_exponent,
-    shannon_limit_constant,
     validate_order,
 )
-from .errors import DomainError, InvalidDistribution
+from .errors import DomainError, InvalidDistribution, NonFinite
 from .quadrature import QuadratureSpec, integrate
 
 __all__ = [
@@ -50,16 +47,15 @@ _NORMALIZATION_TOL = 1e-8
 class DensitySpec:
     """Density callable with declared support [lower, upper].
 
-    Endpoints may be infinite.  `normalization_checked` is a claim that the
-    density integrates to 1; `checked()` verifies the claim by quadrature and
-    returns a copy with the flag set.  The bundled constructors below set it
-    directly because their outputs are normalized in closed form.
+    Endpoints may be infinite.  `checked()` verifies unit mass by quadrature;
+    the bundled constructors below are normalized in closed form.  Negative
+    density values are clamped to zero and a NaN value raises NonFinite; the
+    order-alpha measures of a density with zero mass raise DomainError.
     """
 
     pdf: Callable[[np.ndarray], np.ndarray]
     lower: float
     upper: float
-    normalization_checked: bool = False
 
     def __post_init__(self) -> None:
         lo = float(self.lower)
@@ -78,18 +74,30 @@ class DensitySpec:
         return replace(template, lower=self.lower, upper=self.upper)
 
     def checked(self, spec: QuadratureSpec | None = None) -> "DensitySpec":
-        """Verify unit mass by quadrature; returns the validated copy."""
+        """Verify unit mass by quadrature; returns the spec itself."""
         total = integrate(lambda x: _values(self, x), self.quadrature_spec(spec))
         if abs(total - 1.0) > _NORMALIZATION_TOL:
             raise InvalidDistribution(
                 f"density mass is {total!r}, outside 1 +/- {_NORMALIZATION_TOL}")
-        return replace(self, normalization_checked=True)
+        return self
 
 
 def _values(f: DensitySpec, x: np.ndarray) -> np.ndarray:
-    # negative round-off values of a pdf are clamped to zero
+    # negative round-off values of a pdf are clamped to zero; NaN is an error
     v = np.asarray(f.pdf(x), dtype=float)
+    if np.isnan(v).any():
+        raise NonFinite("density returned NaN")
     return np.where(v > 0.0, v, 0.0)
+
+
+def _power(c: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Integrand term v^c of density values v, with 0^c = 0."""
+    return lambda v: np.where(v > 0.0, v ** c, 0.0)
+
+
+def _shannon(v: np.ndarray) -> np.ndarray:
+    """Integrand term -v ln v of density values v, with 0 ln 0 = 0."""
+    return np.where(v > 0.0, -v * np.log(np.where(v > 0.0, v, 1.0)), 0.0)
 
 
 def uniform_density(lower: float = 0.0, upper: float = 1.0) -> DensitySpec:
@@ -101,7 +109,7 @@ def uniform_density(lower: float = 0.0, upper: float = 1.0) -> DensitySpec:
         x = np.asarray(x, dtype=float)
         return np.where((x >= lower) & (x <= upper), height, 0.0)
 
-    return DensitySpec(pdf, lower, upper, normalization_checked=True)
+    return DensitySpec(pdf, lower, upper)
 
 
 def exponential_density(rate: float = 1.0) -> DensitySpec:
@@ -112,7 +120,7 @@ def exponential_density(rate: float = 1.0) -> DensitySpec:
         x = np.asarray(x, dtype=float)
         return np.where(x >= 0.0, rate * np.exp(-rate * x), 0.0)
 
-    return DensitySpec(pdf, 0.0, math.inf, normalization_checked=True)
+    return DensitySpec(pdf, 0.0, math.inf)
 
 
 def gaussian_density(mean: float = 0.0, sd: float = 1.0) -> DensitySpec:
@@ -125,7 +133,7 @@ def gaussian_density(mean: float = 0.0, sd: float = 1.0) -> DensitySpec:
         z = (x - mean) / sd
         return norm * np.exp(-0.5 * z * z)
 
-    return DensitySpec(pdf, -math.inf, math.inf, normalization_checked=True)
+    return DensitySpec(pdf, -math.inf, math.inf)
 
 
 def density_power_integral(f: DensitySpec, exponent: float,
@@ -133,20 +141,8 @@ def density_power_integral(f: DensitySpec, exponent: float,
     """integral of f(x)^exponent over the support, with 0^exponent = 0."""
     if not exponent > 0:
         raise DomainError("power integral needs a positive exponent")
-
-    def integrand(x):
-        v = _values(f, x)
-        return np.where(v > 0.0, v ** exponent, 0.0)
-
-    return integrate(integrand, f.quadrature_spec(spec))
-
-
-def _shannon_integral(f: DensitySpec, spec: QuadratureSpec | None) -> float:
-    def integrand(x):
-        v = _values(f, x)
-        return np.where(v > 0.0, -v * np.log(np.where(v > 0.0, v, 1.0)), 0.0)
-
-    return integrate(integrand, f.quadrature_spec(spec))
+    term = _power(exponent)
+    return integrate(lambda x: term(_values(f, x)), f.quadrature_spec(spec))
 
 
 def continuous_entropy(f: DensitySpec, family: EntropyFamily, order: AlphaOrder,
@@ -158,55 +154,28 @@ def continuous_entropy(f: DensitySpec, family: EntropyFamily, order: AlphaOrder,
     `shannon_limit_constant` (1/ln 2 for havrda_charvat, 1 otherwise).
     """
     validate_order(family, order)
-    if family.tag is FamilyTag.SHANNON or order.alpha == 1.0:
-        return shannon_limit_constant(family) * _shannon_integral(f, spec)
-    s = density_power_integral(f, power_exponent(family, order), spec)
-    return entropy_from_power_sum(family, order, s)
+    return _from_statistic(
+        family, order,
+        lambda: integrate(lambda x: _shannon(_values(f, x)), f.quadrature_spec(spec)),
+        lambda c: density_power_integral(f, c, spec))
 
 
-def _iterated(outer: DensitySpec, inner_fn: Callable[[float], float],
-              spec: QuadratureSpec | None) -> float:
-    """Outer quadrature whose integrand runs `inner_fn` at each node."""
+def _joint(f: DensitySpec, g: DensitySpec, spec: QuadratureSpec | None,
+           term: Callable[[np.ndarray], np.ndarray]) -> float:
+    """Iterated integral of term(f(x) g(y)): the outer quadrature over x runs
+    one inner adaptive quadrature over y at each of its nodes."""
+    inner_spec = g.quadrature_spec(spec)
 
-    def integrand(x):
-        if np.ndim(x) == 0:
-            return inner_fn(float(x))
-        return np.array([inner_fn(float(xi)) for xi in np.asarray(x).ravel()])
-
-    return integrate(integrand, outer.quadrature_spec(spec))
-
-
-def _joint_power_integral(f: DensitySpec, g: DensitySpec, c: float,
-                          spec: QuadratureSpec | None) -> float:
-    def inner(x0: float) -> float:
-        fx = float(_values(f, np.array([x0]))[0])
+    def inner(fx: float) -> float:
         if fx <= 0.0:
             return 0.0
+        return integrate(lambda y: term(fx * _values(g, y)), inner_spec)
 
-        def integrand(y):
-            v = fx * _values(g, y)
-            return np.where(v > 0.0, v ** c, 0.0)
+    def outer(x):
+        fx = _values(f, x)
+        return np.array([inner(float(v)) for v in fx.ravel()]).reshape(fx.shape)
 
-        return integrate(integrand, g.quadrature_spec(spec))
-
-    return _iterated(f, inner, spec)
-
-
-def _joint_shannon_integral(f: DensitySpec, g: DensitySpec,
-                            spec: QuadratureSpec | None) -> float:
-    def inner(x0: float) -> float:
-        fx = float(_values(f, np.array([x0]))[0])
-        if fx <= 0.0:
-            return 0.0
-
-        def integrand(y):
-            v = fx * _values(g, y)
-            safe = np.where(v > 0.0, v, 1.0)
-            return np.where(v > 0.0, -v * np.log(safe), 0.0)
-
-        return integrate(integrand, g.quadrature_spec(spec))
-
-    return _iterated(f, inner, spec)
+    return integrate(outer, f.quadrature_spec(spec))
 
 
 def composition_residual_continuous(f: DensitySpec, g: DensitySpec,
@@ -221,10 +190,8 @@ def composition_residual_continuous(f: DensitySpec, g: DensitySpec,
     validate_order(family, order)
     value_f = continuous_entropy(f, family, order, spec)
     value_g = continuous_entropy(g, family, order, spec)
-    if family.tag is FamilyTag.SHANNON or order.alpha == 1.0:
-        joint = shannon_limit_constant(family) * _joint_shannon_integral(f, g, spec)
-    else:
-        s = _joint_power_integral(f, g, power_exponent(family, order), spec)
-        joint = entropy_from_power_sum(family, order, s)
+    joint = _from_statistic(family, order,
+                            lambda: _joint(f, g, spec, _shannon),
+                            lambda c: _joint(f, g, spec, _power(c)))
     coef = composition_coefficient(family, order)
     return joint - (value_f + value_g + coef * value_f * value_g)

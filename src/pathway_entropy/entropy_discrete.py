@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -185,16 +186,6 @@ def validate_order(family: EntropyFamily, order: AlphaOrder) -> None:
     raise UnsupportedFamily(str(tag))
 
 
-def _power_sum(p: np.ndarray, c: float) -> float:
-    # exp(c * log p) entry-wise, compensated exact summation.
-    terms = np.exp(c * np.log(p))
-    return math.fsum(terms.tolist())
-
-
-def _shannon_value(p: np.ndarray, constant: float) -> float:
-    return -constant * math.fsum((p * np.log(p)).tolist())
-
-
 def shannon_limit_constant(family: EntropyFamily) -> float:
     """Constant A such that the family's value tends to A * (-sum p ln p) as
     the order tends to 1.
@@ -224,7 +215,9 @@ def entropy_from_power_sum(family: EntropyFamily, order: AlphaOrder,
                            power_sum: float) -> float:
     """Map the power statistic (sum of p^c, or the integral of f^c, with c
     from `power_exponent`) to the family's entropy value.  Requires an
-    order-alpha family with alpha != 1."""
+    order-alpha family with alpha != 1 and a positive power statistic."""
+    if not power_sum > 0:
+        raise DomainError(f"power statistic must be positive, got {power_sum!r}")
     a = order.alpha
     tag = family.tag
     if tag is FamilyTag.RENYI:
@@ -240,6 +233,17 @@ def entropy_from_power_sum(family: EntropyFamily, order: AlphaOrder,
     raise UnsupportedFamily("shannon is not a power-statistic family")
 
 
+def _from_statistic(family: EntropyFamily, order: AlphaOrder,
+                    shannon: Callable[[], float],
+                    power_sum: Callable[[float], float]) -> float:
+    """The order-1 dispatch of the discrete and continuous measures: at alpha
+    exactly 1, and for shannon, `shannon_limit_constant` times the Shannon
+    statistic; otherwise `entropy_from_power_sum` of the power statistic."""
+    if family.tag is FamilyTag.SHANNON or order.alpha == 1.0:
+        return shannon_limit_constant(family) * shannon()
+    return entropy_from_power_sum(family, order, power_sum(power_exponent(family, order)))
+
+
 def entropy(dist: DiscreteDistribution, family: EntropyFamily,
             order: AlphaOrder | None = None) -> float:
     """Entropy of `dist` under the chosen family at the chosen order."""
@@ -247,10 +251,9 @@ def entropy(dist: DiscreteDistribution, family: EntropyFamily,
         order = AlphaOrder(1.0)
     validate_order(family, order)
     p = dist.nonzero()
-    if family.tag is FamilyTag.SHANNON or order.alpha == 1.0:
-        return _shannon_value(p, shannon_limit_constant(family))
-    s = _power_sum(p, power_exponent(family, order))
-    return entropy_from_power_sum(family, order, s)
+    return _from_statistic(family, order,
+                           lambda: -math.fsum((p * np.log(p)).tolist()),
+                           lambda c: math.fsum(np.exp(c * np.log(p)).tolist()))
 
 
 def composition_coefficient(family: EntropyFamily, order: AlphaOrder) -> float:

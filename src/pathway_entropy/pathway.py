@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,9 +89,6 @@ class PathwayParams:
 class SupportInterval:
     lower: float
     upper: float
-
-    def contains(self, x: float) -> bool:
-        return self.lower <= x <= self.upper
 
 
 def support(params: PathwayParams) -> SupportInterval:
@@ -159,12 +156,8 @@ def normalizing_constant_quadrature(params: PathwayParams,
     """c recomputed as 1 / integral(kernel): the cross-check route."""
     _require_normalizable(params)
     interval = support(params)
-    if spec is None:
-        spec = QuadratureSpec(interval.lower, interval.upper)
-    else:
-        spec = replace(spec, lower=interval.lower, upper=interval.upper)
-    total = integrate(lambda x: kernel(params, x), spec)
-    return 1.0 / total
+    unnormalized = DensitySpec(lambda x: kernel(params, x), interval.lower, interval.upper)
+    return 1.0 / integrate(unnormalized.pdf, unnormalized.quadrature_spec(spec))
 
 
 def log_kernel(params: PathwayParams, x):
@@ -403,5 +396,4 @@ def as_density_spec(params: PathwayParams) -> DensitySpec:
     def pdf(x):
         return c * np.exp(log_kernel(params, np.asarray(x, dtype=float)))
 
-    return DensitySpec(pdf, interval.lower, interval.upper,
-                       normalization_checked=True)
+    return DensitySpec(pdf, interval.lower, interval.upper)

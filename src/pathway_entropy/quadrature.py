@@ -205,7 +205,7 @@ def integrate(f: Callable[[float], float], spec: QuadratureSpec) -> float:
         total_err = math.fsum(item[5] for item in heap)
         tol = max(spec.abs_tol, spec.rel_tol * abs(total))
         if total_err <= tol:
-            break
+            return total
         if used >= spec.max_subdivisions:
             raise NonConvergence(
                 f"estimated error {total_err:.3e} above tolerance {tol:.3e} "
@@ -224,9 +224,6 @@ def integrate(f: Callable[[float], float], spec: QuadratureSpec) -> float:
         for i in range(lo.size):
             heapq.heappush(heap, (-err[i], seq, lo[i], hi[i], kron[i], err[i]))
             seq += 1
-
-    # Sum in positional order so the result does not depend on heap layout.
-    return math.fsum(item[4] for item in sorted(heap, key=lambda it: it[2]))
 
 
 def find_root(f: Callable[[float], float], bracket: Sequence[float], tol: float) -> float:

@@ -6,6 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from pathway_entropy.divergence import (
+    InaccuracyInput,
+    kerridge_inaccuracy,
+    m_alpha_expectation_residual,
+)
 from pathway_entropy.entropy_continuous import (
     DensitySpec,
     composition_residual_continuous,
@@ -28,9 +33,10 @@ from pathway_entropy.entropy_discrete import (
     EntropyFamily,
     FamilyTag,
     entropy,
+    entropy_from_power_sum,
     shannon_limit_constant,
 )
-from pathway_entropy.errors import DomainError, InvalidDistribution
+from pathway_entropy.errors import DomainError, InvalidDistribution, NonFinite
 from pathway_entropy.quadrature import QuadratureSpec
 
 EXPO = exponential_density(1.0)
@@ -115,6 +121,14 @@ def test_composition_trivial_unit_uniform():
         assert abs(res) < 1e-10
 
 
+def test_composition_with_scalar_valued_pdf():
+    # a pdf that returns one float for an array is evaluated node by node
+    scalar_unit = DensitySpec(lambda x: 1.0, 0.0, 1.0)
+    for family, alpha in ((SHANNON, 1.0), (TSALLIS, 1.5)):
+        res = composition_residual_continuous(scalar_unit, EXPO, family, AlphaOrder(alpha))
+        assert abs(res) < 1e-6
+
+
 def test_composition_exponential_uniform_tsallis():
     res = composition_residual_continuous(EXPO, UNIT, TSALLIS, AlphaOrder(1.5))
     assert abs(res) < 1e-6
@@ -147,9 +161,7 @@ def test_density_spec_validation():
 
 def test_checked_verifies_mass():
     raw = DensitySpec(lambda x: np.exp(-np.asarray(x, dtype=float)), 0.0, math.inf)
-    assert not raw.normalization_checked
-    ok = raw.checked()
-    assert ok.normalization_checked
+    assert raw.checked() is raw
     double = DensitySpec(lambda x: 2.0 * np.exp(-np.asarray(x, dtype=float)), 0.0, math.inf)
     with pytest.raises(InvalidDistribution):
         double.checked()
@@ -188,3 +200,55 @@ def test_discretization_converges_to_continuous_with_log_width():
         gaps.append(abs((discrete + math.log(width)) - 1.0))
     assert gaps[1] < gaps[0]
     assert gaps[1] < 1e-3
+
+
+def _half_nan(x):
+    # NaN on [0, 0.5) and 2 on [0.5, 1]: the finite half alone has unit mass
+    return np.where(np.asarray(x, dtype=float) < 0.5, np.nan, 2.0)
+
+
+@pytest.mark.parametrize("pdf", [_half_nan, lambda x: np.full(np.shape(x), np.nan)],
+                         ids=["half_nan", "all_nan"])
+def test_nan_density_values_raise_non_finite(pdf):
+    f = DensitySpec(pdf, 0.0, 1.0)
+    with pytest.raises(NonFinite):
+        f.checked()
+    for family, alpha in ((SHANNON, 1.0), (TSALLIS, 1.5), (RENYI, 0.5)):
+        with pytest.raises(NonFinite):
+            continuous_entropy(f, family, AlphaOrder(alpha))
+        with pytest.raises(NonFinite):
+            composition_residual_continuous(UNIT, f, family, AlphaOrder(alpha))
+    with pytest.raises(NonFinite):
+        kerridge_inaccuracy(InaccuracyInput(f, UNIT, AlphaOrder(1.5)))
+    with pytest.raises(NonFinite):
+        m_alpha_expectation_residual(f, AlphaOrder(1.5))
+
+
+def test_non_positive_power_statistic_is_domain_error():
+    for family in ALPHA_FAMILIES:
+        for bad in (0.0, -0.25, math.nan):
+            with pytest.raises(DomainError, match="power statistic"):
+                entropy_from_power_sum(family, AlphaOrder(1.5), bad)
+    zero_mass = DensitySpec(lambda x: np.zeros(np.shape(x)), 0.0, 1.0)
+    for family in ALPHA_FAMILIES:
+        with pytest.raises(DomainError, match="power statistic"):
+            continuous_entropy(zero_mass, family, AlphaOrder(1.5))
+
+
+@pytest.mark.parametrize("family,alpha", [(SHANNON, 1.0), (TSALLIS, 1.5), (RENYI, 0.5)])
+def test_joint_side_runs_an_inner_integral_per_outer_node(family, alpha):
+    # The joint side must stay an iterated integral (the composition check's
+    # second route), not the product of two 1-D integrals: g's pdf is called
+    # at least once per node of the outer rule's 8 head panels x 15 nodes.
+    calls = []
+
+    def g_pdf(y):
+        calls.append(1)
+        return GAUSS.pdf(y)
+
+    g = DensitySpec(g_pdf, GAUSS.lower, GAUSS.upper)
+    continuous_entropy(g, family, AlphaOrder(alpha))
+    one_dim = len(calls)
+    calls.clear()
+    composition_residual_continuous(EXPO, g, family, AlphaOrder(alpha))
+    assert len(calls) - one_dim >= 8 * 15

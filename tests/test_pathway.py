@@ -291,7 +291,7 @@ def test_special_case_validation():
 def test_as_density_spec_unit_mass():
     for params in (HAND, EXPO, TYPE2_GEN):
         spec = as_density_spec(params)
-        assert spec.normalization_checked
+        assert spec.checked() is spec
         total = integrate(spec.pdf, QuadratureSpec(spec.lower, spec.upper))
         assert total == pytest.approx(1.0, abs=1e-8)
 
