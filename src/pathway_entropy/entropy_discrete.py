@@ -215,7 +215,12 @@ def entropy_from_power_sum(family: EntropyFamily, order: AlphaOrder,
                            power_sum: float) -> float:
     """Map the power statistic (sum of p^c, or the integral of f^c, with c
     from `power_exponent`) to the family's entropy value.  Requires an
-    order-alpha family with alpha != 1 and a positive power statistic."""
+    order-alpha family with an order in its domain other than 1, and a
+    positive power statistic."""
+    validate_order(family, order)
+    if order.alpha == 1.0:
+        raise InvalidOrder("the power statistic maps to an entropy only at "
+                           "alpha != 1; alpha = 1 is the Shannon limit")
     if not power_sum > 0:
         raise DomainError(f"power statistic must be positive, got {power_sum!r}")
     a = order.alpha
@@ -228,9 +233,7 @@ def entropy_from_power_sum(family: EntropyFamily, order: AlphaOrder,
         return (power_sum - 1.0) / (1.0 - a)
     if tag is FamilyTag.MATHAI_M:
         return (power_sum - 1.0) / (a - 1.0)
-    if tag is FamilyTag.MATHAI_M_STAR:
-        return math.log(power_sum) / (a - 1.0)
-    raise UnsupportedFamily("shannon is not a power-statistic family")
+    return math.log(power_sum) / (a - 1.0)  # MATHAI_M_STAR
 
 
 def _from_statistic(family: EntropyFamily, order: AlphaOrder,

@@ -5,6 +5,22 @@ operation, NumericalError covers floating-point and convergence failures.  The
 CLI maps them onto exit codes (3 and 4 respectively; usage problems are 2).
 """
 
+__all__ = [
+    "PathwayEntropyError",
+    "DomainError",
+    "InvalidOrder",
+    "InvalidDistribution",
+    "UnsupportedFamily",
+    "UnknownName",
+    "NotNormalizable",
+    "Infeasible",
+    "NoSignChange",
+    "UsageError",
+    "NumericalError",
+    "NonConvergence",
+    "NonFinite",
+]
+
 
 class PathwayEntropyError(Exception):
     """Base class for every error raised by this package."""

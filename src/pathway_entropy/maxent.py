@@ -198,19 +198,24 @@ def _bracket(lam: np.ndarray, exponents: Sequence[float], x: np.ndarray) -> np.n
     return acc
 
 
-def _clipped_power(b: np.ndarray, power: float, alpha: float) -> np.ndarray:
-    # Below order 1 a bracket raised to a nonnegative power clips at zero,
-    # which is where compact support comes from; otherwise it is floored
-    # just above zero so a negative power stays finite.
-    floor = 0.0 if (alpha < 1.0 and power >= 0.0) else _POS_FLOOR
-    return np.power(np.clip(b, floor, None), power)
+def _clipped_power(b: np.ndarray, power: float, vanish: bool) -> np.ndarray:
+    # With `vanish` the result is 0 wherever the bracket is not positive
+    # (compact support), and the power runs only on the rest; a NaN bracket
+    # is not zeroed, so the integrator still sees it.  Otherwise the bracket
+    # is floored just above zero so a negative power stays finite.
+    if vanish:
+        return np.power(b, power, out=np.zeros(b.shape), where=~(b <= 0.0))
+    return np.power(np.clip(b, _POS_FLOOR, None), power)
 
 
 def _family_power(alpha: float, lam: np.ndarray, exponents: Sequence[float],
                   x: np.ndarray, power: float) -> np.ndarray:
     # f itself at power 1/(1-alpha); f^alpha at alpha/(1-alpha), which stays
-    # integrable at a support edge for every admissible order.
-    return _clipped_power(_bracket(lam, exponents, x) / (2.0 - alpha), power, alpha)
+    # integrable at a support edge for every admissible order.  Below order 1
+    # both vanish past the edge: f^alpha is the derivative weight of the
+    # clipped family, which is 0 there for every power.
+    return _clipped_power(_bracket(lam, exponents, x) / (2.0 - alpha), power,
+                          alpha < 1.0)
 
 
 def stationary_density(order: AlphaOrder, multipliers: Sequence[float],
@@ -254,11 +259,8 @@ def _guard_positive(alpha: float, lam: np.ndarray, exponents: Sequence[float],
         raise NonFinite("stationary-family bracket lost positivity on the span")
 
 
-def _constraint_gaps(alpha: float, lam: np.ndarray, exponents: Sequence[float],
+def _constraint_gaps(f: Callable[[np.ndarray], np.ndarray], exponents: Sequence[float],
                      targets: Sequence[float], lower: float, upper: float) -> np.ndarray:
-    def f(x: np.ndarray) -> np.ndarray:
-        return _family_power(alpha, lam, exponents, x, 1.0 / (1.0 - alpha))
-
     gaps = np.array([_moment(f, 0.0, lower, upper) - 1.0]
                     + [_moment(f, e, lower, upper) - t
                        for e, t in zip(exponents, targets)])
@@ -306,7 +308,8 @@ def _newton(problem: MaxEntProblem, lam0: np.ndarray) -> np.ndarray:
 
     def gaps_of(lam: np.ndarray) -> np.ndarray:
         _guard_positive(alpha, lam, exponents, problem.grid)
-        return _constraint_gaps(alpha, lam, exponents, targets, lower, upper)
+        return _constraint_gaps(stationary_density(problem.order, lam, exponents),
+                                exponents, targets, lower, upper)
 
     lam = lam0
     gaps = gaps_of(lam)
@@ -417,8 +420,7 @@ def solve(problem: MaxEntProblem) -> MaxEntSolution:
     else:
         raise last if last is not None else NonConvergence("no multiplier fit")
 
-    dens = _family_power(alpha, lam, problem.exponents, problem.grid,
-                         1.0 / (1.0 - alpha))
+    dens = stationary_density(problem.order, lam, problem.exponents)(problem.grid)
     return MaxEntSolution(
         density_values=dens,
         multipliers=lam,
@@ -430,11 +432,14 @@ def solve(problem: MaxEntProblem) -> MaxEntSolution:
 
 def _escort_shape(alpha: float, lam3: float, delta: float,
                   power: float) -> Callable[[np.ndarray], np.ndarray]:
-    # (1 + lam3 x**delta)**power, clipped like the plain family's bracket.
+    # (1 + lam3 x**delta)**power.  Here f^alpha is the weight itself, not a
+    # derivative, so past a support edge it is 0 only at a positive power:
+    # f^0 is 1 and a negative power keeps the floored bracket.
     lam = np.array([1.0, lam3])
+    vanish = alpha < 1.0 and power > 0.0
 
     def shape(x: np.ndarray) -> np.ndarray:
-        return _clipped_power(_bracket(lam, (delta,), x), power, alpha)
+        return _clipped_power(_bracket(lam, (delta,), x), power, vanish)
 
     return shape
 
@@ -515,32 +520,34 @@ def _fit_lambda3(alpha: float, delta: float, target: float, lower: float,
     def gap(lam3: float) -> float:
         return _escort_mean(alpha, lam3, delta, lower, upper) - target
 
-    # The bracket must stay positive on the span when alpha > 1, which
-    # bounds lam3 below; expand geometrically in both directions until the
-    # gap changes sign.
-    if alpha > 1.0:
-        floor = -1.0 / upper ** delta
-        downs = [floor + (0.0 - floor) * 0.5 ** k for k in range(1, 50)]
-    else:
-        downs = [-(2.0 ** k) for k in range(-20, 60)]
-    ups = [2.0 ** k for k in range(-20, 62)]
-
-    g_prev, l_prev = gap(0.0), 0.0
-    if g_prev == 0.0:
+    # Under the weight (1 + lam3 x**delta)**p, p = alpha/(1-alpha), the escort
+    # mean of x**delta has derivative p * Cov(x**delta, x**delta/(1 + lam3
+    # x**delta)).  Both rise with x**delta, so by Chebyshev's sum inequality
+    # the covariance is >= 0 and the mean moves only in the direction of p:
+    # one geometric ladder, up or down, brackets every reachable target.  The
+    # bracket must stay positive on the span when alpha > 1, which bounds
+    # lam3 below.
+    g_here, l_here = gap(0.0), 0.0
+    if g_here == 0.0:
         return 0.0
-    for ladder in (ups, downs):
-        g_here, l_here = g_prev, l_prev
-        for cand in ladder:
-            try:
-                g_cand = gap(cand)
-            except (NonFinite, NonConvergence):
-                # Off the end of the usable coefficient range: integrals
-                # diverge (or overflow) there, so stop expanding this way.
-                break
-            if g_cand == 0.0:
-                return cand
-            if (g_cand < 0.0) != (g_here < 0.0):
-                return find_root(gap, sorted((l_here, cand)), tol=1e-13)
-            g_here, l_here = g_cand, cand
+    if (g_here < 0.0) == (0.0 < alpha < 1.0):
+        ladder = [2.0 ** k for k in range(-20, 62)]
+    elif alpha > 1.0:
+        floor = -1.0 / upper ** delta
+        ladder = [floor + (0.0 - floor) * 0.5 ** k for k in range(1, 50)]
+    else:
+        ladder = [-(2.0 ** k) for k in range(-20, 60)]
+    for cand in ladder:
+        try:
+            g_cand = gap(cand)
+        except (NonFinite, NonConvergence):
+            # Off the end of the usable coefficient range: integrals diverge
+            # (or overflow) there, so stop expanding.
+            break
+        if g_cand == 0.0:
+            return cand
+        if (g_cand < 0.0) != (g_here < 0.0):
+            return find_root(gap, sorted((l_here, cand)), tol=1e-13)
+        g_here, l_here = g_cand, cand
     raise Infeasible("no bracket coefficient reaches the escort target on "
                      "this span")

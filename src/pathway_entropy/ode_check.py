@@ -36,7 +36,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError
-from .pathway import PathwayParams, kernel, support
+from .pathway import PathwayParams, _substitution, kernel, support
 
 __all__ = [
     "OdeReduction",
@@ -174,8 +174,8 @@ def _sweep_window(case: OdeCase) -> tuple[float, float]:
     interval = support(case.params)
     if math.isfinite(interval.upper):
         return 0.1 * interval.upper, 0.9 * interval.upper
-    scale = (p.s * abs(p.alpha - 1.0)) ** (-1.0 / p.delta) if p.alpha != 1.0 \
-        else (p.beta_exp * p.s) ** (-1.0 / p.delta)
+    # the x at which the substituted variable t is 1
+    scale = _substitution(p)[2] ** (-1.0 / p.delta)
     top = 50.0 if p.alpha > 1.0 else 20.0
     return 0.1 * scale, top * scale
 

@@ -168,11 +168,7 @@ def log_kernel(params: PathwayParams, x):
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
     out = np.full(x.shape, -math.inf)
-    if a < 1.0:
-        edge = (params.s * (1.0 - a)) ** (-1.0 / params.delta)
-        inside = (x >= 0.0) & (x <= edge)
-    else:
-        inside = x >= 0.0
+    inside = (x >= 0.0) & (x <= support(params).upper)
     xi = np.where(inside, x, 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         power = np.where(xi > 0.0,

@@ -1,4 +1,5 @@
 """Exit codes, formats, and determinism of the command-line front end."""
+import io
 import json
 import math
 import os
@@ -38,7 +39,6 @@ def test_ppp_scan_example(capsys):
 
 
 def read_csv_text(text):
-    import io
     return read_csv(io.StringIO(text))
 
 
@@ -420,3 +420,25 @@ def test_cold_import_loads_scipy_special_on_demand_and_never_scipy_optimize():
                           text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "True False", "False"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["entropy", "--family", "tsallis", "--alpha", "0.5:inf:0.1", "--probs", "0.5,0.5"],
+    ["entropy", "--family", "tsallis", "--alpha", "2", "--probs", "0.5,half"],
+    ["pathway", "--special", "gaussian_half", "--beta", "2", "--constant"],
+    ["pathway", "--alpha", "1.5", "--q", "2", "--constant"],
+    ["pathway", "--constant"],
+    ["maxent", "--alpha", "0.5", "--grid", "0:2:0.1", "--moment", "1:half"],
+    ["maxent", "--alpha", "0.5", "--grid", "0:2:0.1", "--moment", "1:0.5",
+     "--lambda3", "0.5"],
+], ids=["sweep_bound", "probs", "special_beta", "q_without_special",
+        "no_special_or_alpha", "moment", "lambda3_without_escort"])
+def test_usage_error_table_exits_2(capsys, argv):
+    code, out, err = run_capture(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "UsageError"
+
+
+def test_read_csv_rejects_empty_input():
+    with pytest.raises(UsageError, match="empty"):
+        read_csv(io.StringIO(""))

@@ -12,6 +12,7 @@ from pathway_entropy.divergence import (
     m_alpha_expectation_residual,
 )
 from pathway_entropy.entropy_continuous import (
+    DensitySpec,
     exponential_density,
     uniform_density,
 )
@@ -94,6 +95,11 @@ def test_input_validation():
         InaccuracyInput(f, masked, AlphaOrder(2.0))
     # zero mass in f where q is zero is fine
     InaccuracyInput(masked, masked, AlphaOrder(2.0))
+    # a density can only be found zero where f has mass while integrating
+    half = DensitySpec(lambda x: np.where(np.asarray(x) < 0.5, 2.0, 0.0), 0.0, 1.0)
+    with pytest.raises(DomainError, match="assigned density is zero"):
+        kerridge_inaccuracy(InaccuracyInput(uniform_density(0.0, 1.0), half,
+                                            AlphaOrder(2.0)))
 
 
 def test_expectation_residual_routes():

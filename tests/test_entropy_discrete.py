@@ -27,6 +27,7 @@ from pathway_entropy.entropy_discrete import (
     composition_residual_bivariate,
     composition_residual_trivariate,
     entropy,
+    entropy_from_power_sum,
     functional_equation_residual,
     product_distribution,
     recursivity_weight,
@@ -297,3 +298,27 @@ def test_uniform_maximizes(k, alpha):
     for family in ALPHA_FAMILIES:
         order = AlphaOrder(alpha)
         assert entropy(uniform, family, order) >= entropy(other, family, order) - 1e-12
+
+
+def test_power_sum_map_checks_its_order():
+    # alpha = 1 is the Shannon limit, not a power-statistic value, and an
+    # order outside the family's domain is no order at all.
+    with pytest.raises(InvalidOrder):
+        entropy_from_power_sum(TSALLIS, AlphaOrder(1.0), 0.5)
+    with pytest.raises(InvalidOrder):
+        entropy_from_power_sum(MATHAI_M, AlphaOrder(2.5), 0.3)
+    with pytest.raises(InvalidOrder):
+        entropy_from_power_sum(SHANNON, AlphaOrder(1.0), 0.5)
+
+
+@pytest.mark.parametrize("build,error,match", [
+    (lambda: AlphaOrder(math.nan), InvalidOrder, "finite"),
+    (lambda: EntropyFamily(FamilyTag.SHANNON, 0.0), DomainError, "shannon_constant"),
+    (lambda: DiscreteDistribution(np.array([])), InvalidDistribution, "at least one"),
+    (lambda: DiscreteDistribution(np.array([0.5, math.nan])), InvalidDistribution,
+     "finite"),
+    (lambda: DiscreteDistribution.uniform(0), InvalidDistribution, "k >= 1"),
+], ids=["order_nan", "shannon_constant", "empty", "nan_entry", "uniform_zero"])
+def test_typed_errors(build, error, match):
+    with pytest.raises(error, match=match):
+        build()

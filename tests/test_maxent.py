@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from pathway_entropy import maxent
 from pathway_entropy.entropy_discrete import AlphaOrder
 from pathway_entropy.errors import DomainError, Infeasible, InvalidOrder
 from pathway_entropy.maxent import (
@@ -282,10 +283,17 @@ def test_escort_round_trip():
 
 @pytest.mark.parametrize("alpha,delta,s", [(0.3, 1.0, 1.0), (0.6, 2.0, 0.5),
                                             (0.9, 1.5, 2.0)])
-def test_escort_round_trip_below_order_one(alpha, delta, s):
+def test_escort_round_trip_below_order_one(alpha, delta, s, monkeypatch):
     # The gamma = 1 pathway kernel is the escort family with a negative
     # coefficient lam3 = -s(1-alpha); on a span past its support edge the
     # escort mean of x^delta is 1/(s(1 - alpha + delta)).
+    calls = []
+
+    def counting(f, spec):
+        calls.append(spec)
+        return integrate(f, spec)
+
+    monkeypatch.setattr(maxent, "integrate", counting)
     params = PathwayParams(alpha=alpha, delta=delta, s=s)
     grid = np.linspace(0.0, 1.2 * support(params).upper, 301)
     problem = MaxEntProblem(grid, AlphaOrder(alpha),
@@ -296,6 +304,9 @@ def test_escort_round_trip_below_order_one(alpha, delta, s):
     expected = density(params, grid)
     assert np.max(np.abs(sol.density_values - expected)) <= 1e-9 * np.max(expected)
     assert sol.euler_residual <= 1e-10
+    # The escort mean only rises with lam3 below order 1, so the fit walks
+    # the downward ladder alone; the upward one cannot bracket a lam3 < 0.
+    assert len(calls) <= 100
 
 
 def test_escort_frozen_coefficient_is_power_law():
@@ -388,3 +399,42 @@ def test_trapezoid_weights_shape():
     assert w.sum() == pytest.approx(4.0)
     with pytest.raises(DomainError):
         stationary_density(AlphaOrder(0.5), [1.0], (1.0,))
+
+
+def test_plain_fit_at_order_zero_is_the_triangle():
+    # At alpha = 0 the family is the clipped line (lam1 + lam2 x)/2 and the
+    # mean 0.3 pins its support edge at 0.9: f = 2(0.9 - x)/0.81 on [0, 0.9].
+    # The Jacobian weight f^0 must vanish past the edge, not read 1.
+    problem = MaxEntProblem(np.linspace(0.0, 2.0, 201), AlphaOrder(0.0),
+                            (MomentConstraint(1.0, 0.3),))
+    sol = solve(problem)
+    expected = np.clip(2.0 * (0.9 - problem.grid) / 0.81, 0.0, None)
+    assert np.max(np.abs(sol.density_values - expected)) <= 1e-9
+
+
+@pytest.mark.parametrize("build,error,match", [
+    (lambda: MaxEntProblem(np.array([0.0, 1.0, math.nan]), AlphaOrder(0.5)),
+     DomainError, "finite"),
+    (lambda: MaxEntProblem(np.linspace(0.0, 1.0, 5), AlphaOrder(0.5), ((1.0, 0.5),)),
+     DomainError, "MomentConstraint"),
+    (lambda: MaxEntProblem(np.linspace(0.0, 1.0, 5), AlphaOrder(0.5), (), "escort"),
+     DomainError, "MaxEntVariant"),
+    (lambda: MaxEntSolution(np.array([0.5, math.nan, 0.5]), np.array([1.0]), 0.0, 0.0),
+     DomainError, "finite vector"),
+    (lambda: discrete_objective(np.ones(3), delta_problem(11)), DomainError,
+     "match the problem grid"),
+    (lambda: solve_escort(MaxEntProblem(np.linspace(0.0, 50.0, 11), AlphaOrder(1.5),
+                                        variant=MaxEntVariant.ESCORT),
+                          lambda3=math.nan),
+     DomainError, "lambda3 must be finite"),
+    # at order 0 the escort weight f^0 is 1 on the whole span, so no
+    # coefficient moves its mean off the midpoint
+    (lambda: solve_escort(MaxEntProblem(np.linspace(0.0, 2.0, 41), AlphaOrder(0.0),
+                                        (MomentConstraint(1.0, 1.3),),
+                                        MaxEntVariant.ESCORT)),
+     Infeasible, "no bracket coefficient"),
+], ids=["grid_nan", "constraint_type", "variant_type", "solution_nan",
+        "objective_shape", "lambda3_nan", "escort_order_zero"])
+def test_typed_errors(build, error, match):
+    with pytest.raises(error, match=match):
+        build()

@@ -198,3 +198,16 @@ def test_sweep_makes_three_kernel_calls(monkeypatch):
                                  beta_exp=2.0), OdeReduction.TSALLIS_ETA)
     residual_sweep(case, 200)
     assert calls == [200, 200, 200]
+
+
+@pytest.mark.parametrize("build,match", [
+    (lambda: OdeCase(PathwayParams(alpha=1.5, gamma=1.0, delta=0.5),
+                     OdeReduction.REDUCED_BETA), "gamma != 1"),
+    # delta = (gamma-1)(alpha-1)/beta holds, so only beta = 2 is at fault
+    (lambda: OdeCase(PathwayParams(alpha=1.5, gamma=3.0, delta=0.5, beta_exp=2.0),
+                     OdeReduction.REDUCED_BETA1), "beta_exp = 1"),
+    (lambda: residual_sweep(OdeCase(PathwayParams(alpha=0.5)), 0), "one sweep point"),
+], ids=["reduced_beta_gamma_one", "reduced_beta1_beta", "no_sweep_points"])
+def test_domain_errors(build, match):
+    with pytest.raises(DomainError, match=match):
+        build()

@@ -322,3 +322,17 @@ def test_random_params_normalize_across_regimes():
         assert abs(total - 1.0) <= 1e-7
         assert normalizing_constant_quadrature(params) == pytest.approx(
             normalizing_constant(params), rel=1e-8)
+
+
+@pytest.mark.parametrize("build,match", [
+    (lambda: cdf(PathwayParams(alpha=0.5), math.nan), "nan"),
+    (lambda: kernel_derivative(PathwayParams(alpha=0.5), 0.0), "x > 0"),
+    (lambda: kernel_derivative(PathwayParams(alpha=0.5), np.array([0.5, 2.5])),
+     "interior"),
+    (lambda: special_case("weibull", shape=0.0), "shape > 0"),
+    (lambda: special_case("wigner", beta_scale=0.0), "beta_scale > 0"),
+], ids=["cdf_nan", "derivative_at_zero", "derivative_past_edge", "weibull_shape",
+        "wigner_scale"])
+def test_domain_errors(build, match):
+    with pytest.raises(DomainError, match=match):
+        build()

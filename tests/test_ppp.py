@@ -89,6 +89,8 @@ def test_validation():
         independent_event_triples(1)
     with pytest.raises(DomainError):
         scan(1)
+    with pytest.raises(DomainError, match="n >= 2"):
+        PppSolution(1, ())
     with pytest.raises(DomainError):
         PppSolution(4, ((2, 2, 2),))
     with pytest.raises(DomainError):

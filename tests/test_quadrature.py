@@ -195,3 +195,16 @@ def test_find_root_matches_scipy_brentq_bit_for_bit():
 def test_find_root_iteration_budget():
     with pytest.raises(NonConvergence):
         find_root(lambda x: -1.0 if x < 0.0 else 1.0, (-1e300, 1e300), 1e-300)
+
+
+@pytest.mark.parametrize("build,error,match", [
+    (lambda: QuadratureSpec(0.0, 1.0, max_subdivisions=0), DomainError,
+     "max_subdivisions"),
+    (lambda: find_root(lambda x: x, (1.0, -1.0), 1e-12), DomainError, "bracket"),
+    (lambda: find_root(lambda x: x, (math.nan, 1.0), 1e-12), DomainError, "bracket"),
+    (lambda: find_root(lambda x: x if x > 0 else math.nan, (-1.0, 1.0), 1e-12),
+     NonFinite, "endpoint"),
+], ids=["no_subdivisions", "reversed_bracket", "nan_bracket", "nan_endpoint_value"])
+def test_typed_errors(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
