@@ -16,6 +16,13 @@ against closed-form densities.  Nodal trapezoid sums of a returned solution
 therefore normalize to 1 + O(h^2) while the underlying continuous density
 normalizes to quadrature precision.
 
+Each Newton candidate costs one vector-valued quadrature pass: the bracket
+is evaluated once per node, and the rows x**e_j f (the constraint gaps) and
+x**(e_j + e_k) f^alpha (the Jacobian) share the panels.  The Jacobian of the
+accepted candidate drives the next step, so there is no separate Jacobian
+pass; the escort mean likewise takes its numerator and denominator from one
+two-row pass.
+
 For alpha < 1 the family exponent 1/(1-alpha) is positive and the bracket
 clamps at zero, which is where compact support comes from.  For alpha > 1
 the exponent is negative and the bracket must stay positive on the whole
@@ -26,7 +33,9 @@ held fixed; its maximizers land in the family
     f(x) = lam1 * (1 + lam3 * x**delta)**(1/(1-alpha))
 
 which is the plain stationarity family in disguise (expand f^(1-alpha)),
-so both variants share one residual check.
+so both variants share one residual check.  Above order 1 and below order 0
+the escort weight f^alpha has a negative exponent, so lam3 stays above
+-1/upper**delta, where the bracket is positive on the whole span.
 """
 from __future__ import annotations
 
@@ -188,8 +197,6 @@ def trapezoid_weights(grid: np.ndarray) -> np.ndarray:
 
 
 def _bracket(lam: np.ndarray, exponents: Sequence[float], x: np.ndarray) -> np.ndarray:
-    # Runs on every quadrature batch: fill and in-place adds spare the
-    # temporaries that would double its cost.
     x = np.asarray(x, dtype=float)
     acc = np.empty(x.shape)
     acc.fill(lam[0])
@@ -208,16 +215,6 @@ def _clipped_power(b: np.ndarray, power: float, vanish: bool) -> np.ndarray:
     return np.power(np.clip(b, _POS_FLOOR, None), power)
 
 
-def _family_power(alpha: float, lam: np.ndarray, exponents: Sequence[float],
-                  x: np.ndarray, power: float) -> np.ndarray:
-    # f itself at power 1/(1-alpha); f^alpha at alpha/(1-alpha), which stays
-    # integrable at a support edge for every admissible order.  Below order 1
-    # both vanish past the edge: f^alpha is the derivative weight of the
-    # clipped family, which is 0 there for every power.
-    return _clipped_power(_bracket(lam, exponents, x) / (2.0 - alpha), power,
-                          alpha < 1.0)
-
-
 def stationary_density(order: AlphaOrder, multipliers: Sequence[float],
                        exponents: Sequence[float]) -> Callable[[np.ndarray], np.ndarray]:
     """Vectorized callable for the stationary family at fixed multipliers.
@@ -232,19 +229,16 @@ def stationary_density(order: AlphaOrder, multipliers: Sequence[float],
     alpha = order.alpha
 
     def f(x: np.ndarray) -> np.ndarray:
-        return _family_power(alpha, lam, exps, x, 1.0 / (1.0 - alpha))
+        return _clipped_power(_bracket(lam, exps, x) / (2.0 - alpha),
+                              1.0 / (1.0 - alpha), alpha < 1.0)
 
     return f
 
 
-def _moment(shape: Callable[[np.ndarray], np.ndarray], expo: float,
-            lower: float, upper: float) -> float:
-    def integrand(x: np.ndarray) -> np.ndarray:
-        return np.power(np.asarray(x, dtype=float), expo) * shape(x)
-
-    # expo 0 skips the power, which is exactly 1 but costs a third of a call
-    spec = QuadratureSpec(lower, upper, rel_tol=_QUAD_REL, abs_tol=_QUAD_ABS)
-    return integrate(shape if expo == 0.0 else integrand, spec)
+def _integrate(integrand: Callable[[np.ndarray], np.ndarray], lower: float,
+               upper: float) -> float | np.ndarray:
+    return integrate(integrand, QuadratureSpec(lower, upper, rel_tol=_QUAD_REL,
+                                               abs_tol=_QUAD_ABS))
 
 
 def _guard_positive(alpha: float, lam: np.ndarray, exponents: Sequence[float],
@@ -259,33 +253,28 @@ def _guard_positive(alpha: float, lam: np.ndarray, exponents: Sequence[float],
         raise NonFinite("stationary-family bracket lost positivity on the span")
 
 
-def _constraint_gaps(f: Callable[[np.ndarray], np.ndarray], exponents: Sequence[float],
-                     targets: Sequence[float], lower: float, upper: float) -> np.ndarray:
-    gaps = np.array([_moment(f, 0.0, lower, upper) - 1.0]
-                    + [_moment(f, e, lower, upper) - t
-                       for e, t in zip(exponents, targets)])
-    if not np.all(np.isfinite(gaps)):
-        raise NonFinite("constraint integral did not come out finite")
-    return gaps
+def _newton_integrand(alpha: float, lam: np.ndarray, exponents: Sequence[float]
+                      ) -> Callable[[np.ndarray], np.ndarray]:
+    # One Newton candidate's integrals as rows over shared nodes: the moments
+    # x^e_j f for e = (0, *exponents), then the Jacobian's upper triangle
+    # x^(e_j + e_k) f^alpha, j <= k.  The bracket is evaluated once per node.
+    # f^alpha, at power alpha/(1-alpha), stays integrable at a support edge
+    # for every admissible order; below order 1 it vanishes past the edge
+    # like f, since it is the derivative weight of the clipped family.
+    all_exps = np.array((0.0,) + tuple(exponents))
+    j, k = np.triu_indices(all_exps.size)
+    row_exps = np.concatenate((all_exps, all_exps[j] + all_exps[k]))[:, None]
+    weighted = np.repeat([0, 1], [all_exps.size, j.size])
+    vanish = alpha < 1.0
 
+    def integrand(x: np.ndarray) -> np.ndarray:
+        x_powers = np.power(np.asarray(x, dtype=float), row_exps)
+        bracket = (lam[0] + lam[1:] @ x_powers[1:all_exps.size]) / (2.0 - alpha)
+        base = np.array((_clipped_power(bracket, 1.0 / (1.0 - alpha), vanish),
+                         _clipped_power(bracket, alpha / (1.0 - alpha), vanish)))
+        return x_powers * base[weighted]
 
-def _jacobian(alpha: float, lam: np.ndarray, exponents: Sequence[float],
-              lower: float, upper: float) -> np.ndarray:
-    # d(moment_j)/d(lam_k) = integral of x^(e_j + e_k) f^alpha
-    #                        / ((1 - alpha) (2 - alpha)); symmetric.
-    all_exps = (0.0,) + tuple(exponents)
-    coeff = 1.0 / ((1.0 - alpha) * (2.0 - alpha))
-
-    def f_alpha(x: np.ndarray) -> np.ndarray:
-        return _family_power(alpha, lam, exponents, x, alpha / (1.0 - alpha))
-
-    n = len(all_exps)
-    jac = np.empty((n, n))
-    for j in range(n):
-        for k in range(j, n):
-            val = _moment(f_alpha, all_exps[j] + all_exps[k], lower, upper)
-            jac[j, k] = jac[k, j] = coeff * val
-    return jac
+    return integrand
 
 
 def _check_attainable(exponent: float, target: float, lower: float,
@@ -304,19 +293,30 @@ def _newton(problem: MaxEntProblem, lam0: np.ndarray) -> np.ndarray:
     alpha = problem.order.alpha
     lower, upper = problem.span
     exponents = problem.exponents
-    targets = problem.targets
+    offsets = np.array((1.0,) + problem.targets)
+    n = offsets.size
+    upper_tri = np.triu_indices(n)
+    # d(moment_j)/d(lam_k) = integral of x^(e_j + e_k) f^alpha
+    #                        / ((1 - alpha) (2 - alpha)); symmetric.
+    coeff = 1.0 / ((1.0 - alpha) * (2.0 - alpha))
 
-    def gaps_of(lam: np.ndarray) -> np.ndarray:
+    def gaps_and_jacobian(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # one integral pass per candidate; the Jacobian of an accepted
+        # candidate serves the next step
         _guard_positive(alpha, lam, exponents, problem.grid)
-        return _constraint_gaps(stationary_density(problem.order, lam, exponents),
-                                exponents, targets, lower, upper)
+        values = _integrate(_newton_integrand(alpha, lam, exponents), lower, upper)
+        gaps = values[:n] - offsets
+        if not np.all(np.isfinite(gaps)):
+            raise NonFinite("constraint integral did not come out finite")
+        jac = np.empty((n, n))
+        jac[upper_tri] = jac.T[upper_tri] = coeff * values[n:]
+        return gaps, jac
 
     lam = lam0
-    gaps = gaps_of(lam)
+    gaps, jac = gaps_and_jacobian(lam)
     for _ in range(_MAX_NEWTON):
         if np.max(np.abs(gaps)) <= _NEWTON_TOL:
             return lam
-        jac = _jacobian(alpha, lam, exponents, lower, upper)
         try:
             step = np.linalg.solve(jac, -gaps)
         except np.linalg.LinAlgError as exc:
@@ -325,13 +325,13 @@ def _newton(problem: MaxEntProblem, lam0: np.ndarray) -> np.ndarray:
         while True:
             try:
                 cand = lam + scale * step
-                cand_gaps = gaps_of(cand)
+                cand_gaps, cand_jac = gaps_and_jacobian(cand)
             except NonFinite:
                 cand_gaps = None
             if cand_gaps is not None and (
                     np.linalg.norm(cand_gaps) < np.linalg.norm(gaps)
                     or np.max(np.abs(cand_gaps)) <= _NEWTON_TOL):
-                lam, gaps = cand, cand_gaps
+                lam, gaps, jac = cand, cand_gaps, cand_jac
                 break
             scale /= 2.0
             if scale < 2.0 ** -14:
@@ -430,25 +430,25 @@ def solve(problem: MaxEntProblem) -> MaxEntSolution:
     )
 
 
-def _escort_shape(alpha: float, lam3: float, delta: float,
-                  power: float) -> Callable[[np.ndarray], np.ndarray]:
+def _escort_power(alpha: float, lam3: float, x_delta: np.ndarray,
+                  power: float) -> np.ndarray:
     # (1 + lam3 x**delta)**power.  Here f^alpha is the weight itself, not a
     # derivative, so past a support edge it is 0 only at a positive power:
     # f^0 is 1 and a negative power keeps the floored bracket.
-    lam = np.array([1.0, lam3])
-    vanish = alpha < 1.0 and power > 0.0
-
-    def shape(x: np.ndarray) -> np.ndarray:
-        return _clipped_power(_bracket(lam, (delta,), x), power, vanish)
-
-    return shape
+    return _clipped_power(1.0 + lam3 * x_delta, power, alpha < 1.0 and power > 0.0)
 
 
 def _escort_mean(alpha: float, lam3: float, delta: float, lower: float,
                  upper: float) -> float:
-    weight = _escort_shape(alpha, lam3, delta, alpha / (1.0 - alpha))
-    num = _moment(weight, delta, lower, upper)
-    den = _moment(weight, 0.0, lower, upper)
+    # numerator and denominator in one two-row pass over shared nodes
+    power = alpha / (1.0 - alpha)
+
+    def rows(x: np.ndarray) -> np.ndarray:
+        x_delta = np.power(np.asarray(x, dtype=float), delta)
+        weight = _escort_power(alpha, lam3, x_delta, power)
+        return np.array((x_delta * weight, weight))
+
+    num, den = _integrate(rows, lower, upper)
     if den <= 0.0 or not (math.isfinite(num) and math.isfinite(den)):
         raise NonFinite("escort weight carried no mass on the span")
     return num / den
@@ -487,13 +487,16 @@ def solve_escort(problem: MaxEntProblem, delta: float = 1.0, *,
     else:
         if not math.isfinite(lambda3):
             raise DomainError("lambda3 must be finite")
-        if alpha > 1.0 and 1.0 + lambda3 * upper ** delta <= 0.0:
+        if not 0.0 <= alpha < 1.0 and 1.0 + lambda3 * upper ** delta <= 0.0:
             raise DomainError("frozen lambda3 makes the bracket nonpositive "
                               "on the span")
         lam3 = float(lambda3)
 
-    shape = _escort_shape(alpha, lam3, delta, 1.0 / (1.0 - alpha))
-    mass = _moment(shape, 0.0, lower, upper)
+    def shape(x: np.ndarray) -> np.ndarray:
+        return _escort_power(alpha, lam3, np.power(np.asarray(x, dtype=float), delta),
+                             1.0 / (1.0 - alpha))
+
+    mass = _integrate(shape, lower, upper)
     if mass <= 0.0 or not math.isfinite(mass):
         raise Infeasible("escort family carries no normalizable mass on the span")
     lam1 = 1.0 / mass
@@ -525,14 +528,15 @@ def _fit_lambda3(alpha: float, delta: float, target: float, lower: float,
     # x**delta)).  Both rise with x**delta, so by Chebyshev's sum inequality
     # the covariance is >= 0 and the mean moves only in the direction of p:
     # one geometric ladder, up or down, brackets every reachable target.  The
-    # bracket must stay positive on the span when alpha > 1, which bounds
-    # lam3 below.
+    # bracket must stay positive on the span when p < 0 (alpha > 1 or
+    # alpha < 0), where the weight is infinite at a zero of the bracket;
+    # that bounds lam3 below.
     g_here, l_here = gap(0.0), 0.0
     if g_here == 0.0:
         return 0.0
     if (g_here < 0.0) == (0.0 < alpha < 1.0):
         ladder = [2.0 ** k for k in range(-20, 62)]
-    elif alpha > 1.0:
+    elif alpha > 1.0 or alpha < 0.0:
         floor = -1.0 / upper ** delta
         ladder = [floor + (0.0 - floor) * 0.5 ** k for k in range(1, 50)]
     else:

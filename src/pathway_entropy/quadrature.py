@@ -6,13 +6,19 @@ identical inputs produce bit-identical output), and rational changes of
 variable that fold infinite intervals onto finite ones.
 
 The integrator is an adaptive bisection scheme over 15-point Kronrod panels
-with the embedded 7-point Gauss rule supplying the error estimate.  Endpoint
-power singularities x**p with p > -1 are resolved by refinement (panel nodes
-are strictly interior, so the integrand is never evaluated at the endpoints).
+with the embedded 7-point Gauss rule supplying the error estimate, as in
+QUADPACK (Piessens et al., 1983).  It is vector-valued in the manner of
+scipy's `quad_vec`: an integrand may return one row of values per integral,
+and the rows share the panels while each meets its own tolerance.  The
+panel state lives in arrays, and each sweep bisects, in one batch, every
+panel whose error is above its share (1/panels) of its row's tolerance.
+Endpoint power singularities x**p with p > -1 are resolved by refinement
+(panel nodes are strictly interior, so the integrand is never evaluated at
+the endpoints); a panel refined down to the float spacing, where its nodes
+collapse, raises NonConvergence.
 """
 from __future__ import annotations
 
-import heapq
 import math
 import sys
 from dataclasses import dataclass
@@ -65,8 +71,16 @@ _W_KRONROD = np.concatenate((_WGK[:7], _WGK[7:8], _WGK[6::-1]))
 _W_GAUSS = np.zeros(15)
 _W_GAUSS[[1, 3, 5, 7, 9, 11, 13]] = np.concatenate((_WG[:3], _WG[3:4], _WG[2::-1]))
 
-_HEAD_PANELS = 8      # initial uniform split of the integration interval
-_BATCH = 4            # worst panels refined per sweep
+# One product of the node values with these columns gives the Kronrod sum,
+# 200 times the Kronrod-Gauss difference, and each value's deviation from
+# the panel mean, which is half the Kronrod sum.
+_RULES = np.column_stack((_W_KRONROD, 200.0 * (_W_KRONROD - _W_GAUSS),
+                          np.eye(15) - 0.5 * _W_KRONROD[:, None]))
+_TINY = sys.float_info.min
+
+# Initial uniform split of the integration interval into 8 panels: centers
+# and half-widths as fractions of the interval's length.
+_HEAD_PANELS = np.array([np.arange(1.0, 16.0, 2.0), np.ones(8)]) / 16.0
 
 _ROOT_MAX_ITER = 300                          # Brent steps before NonConvergence
 _ROOT_RTOL = 4.0 * sys.float_info.epsilon     # relative part of the root tolerance
@@ -98,31 +112,40 @@ class QuadratureSpec:
 
 
 class _Evaluator:
-    """Calls the integrand on node batches, vectorizing when the callable
-    accepts arrays and silently falling back to a scalar loop otherwise.
-    The package's own errors are answers, not a sign of a scalar-only
-    callable, so they propagate from the first batch at once."""
+    """Calls the integrand on node batches and returns its values, one per
+    node or one row of them per integral: vectorized when the callable
+    accepts arrays, a scalar loop otherwise.  The first batch decides, and
+    records whether the integrand is vector-valued.  The package's own
+    errors are answers, not a sign of a scalar-only callable, so they
+    propagate from the first batch at once."""
 
-    def __init__(self, f: Callable[[float], float]):
+    def __init__(self, f: Callable):
         self._f = f
         self._vectorized: bool | None = None
+        self.vector = False
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         if self._vectorized is None:
-            # the first batch decides: vectorized when f(array) returns an
-            # array of the batch's shape without raising
+            # vectorized when f(array) returns, without raising, one value
+            # per node or one row of them per integral
             try:
                 out = np.asarray(self._f(x))
             except PathwayEntropyError:
                 raise
             except Exception:
                 out = None
-            self._vectorized = out is not None and out.shape == x.shape
-            if self._vectorized:
-                return np.asarray(out, dtype=float)
+            self._vectorized = (out is not None and out.ndim in (1, 2)
+                                and out.shape[-1:] == x.shape)
+            if not self._vectorized:
+                out = self._loop(x)
+            self.vector = out.ndim == 2
+            return np.asarray(out, dtype=float)
         if self._vectorized:
             return np.asarray(self._f(x), dtype=float)
-        return np.fromiter((float(self._f(float(v))) for v in x), dtype=float, count=x.size)
+        return self._loop(x)
+
+    def _loop(self, x: np.ndarray) -> np.ndarray:
+        return np.array([self._f(float(v)) for v in x], dtype=float).T
 
 
 def _fold_infinite(f: Callable, lower: float, upper: float):
@@ -133,15 +156,16 @@ def _fold_infinite(f: Callable, lower: float, upper: float):
     if not lo_inf and not hi_inf:
         return f, float(lower), float(upper)
 
+    # nodes round onto the folded interval's ends only on panels narrower
+    # than the float spacing there; they get a finite stand-in and weight 0
     if lo_inf and hi_inf:
         def g(t, _f=f):
             t = np.asarray(t, dtype=float)
-            inside = np.abs(t) < 1.0
-            ts = np.where(inside, t, 0.5)
-            denom = 1.0 - ts * ts
-            x = ts / denom
-            jac = (1.0 + ts * ts) / (denom * denom)
-            return np.where(inside, np.asarray(_f(x), dtype=float) * jac, 0.0)
+            u = 1.0 - t * t
+            inside = u > 0.0
+            u = np.where(inside, u, 1.0)
+            return np.where(inside, np.asarray(_f(t / u), dtype=float)
+                            * ((1.0 + t * t) / (u * u)), 0.0)
         return g, -1.0, 1.0
 
     if hi_inf:
@@ -151,79 +175,104 @@ def _fold_infinite(f: Callable, lower: float, upper: float):
 
     def g(t, _f=f, _a=a, _sign=sign):
         t = np.asarray(t, dtype=float)
-        inside = t < 1.0
-        ts = np.where(inside, t, 0.5)
-        x = _a + _sign * ts / (1.0 - ts)
-        jac = 1.0 / (1.0 - ts) ** 2
-        return np.where(inside, np.asarray(_f(x), dtype=float) * jac, 0.0)
+        u = 1.0 - t
+        inside = u > 0.0
+        u = np.where(inside, u, 1.0)
+        return np.where(inside, np.asarray(_f(_a + _sign * (t / u)), dtype=float)
+                        / (u * u), 0.0)
     return g, 0.0, 1.0
 
 
-def _panels(evaluate: _Evaluator, lo: np.ndarray, hi: np.ndarray):
-    """Kronrod value and scaled error estimate for a batch of panels."""
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    nodes = mid[:, None] + half[:, None] * _NODES[None, :]
-    fv = evaluate(nodes.ravel()).reshape(nodes.shape)
-    if not np.all(np.isfinite(fv)):
-        bad = nodes.ravel()[~np.isfinite(fv.ravel())][0]
-        raise NonFinite(f"integrand returned a non-finite value near x={bad!r}")
-    kron = half * (fv @ _W_KRONROD)
-    gauss = half * (fv @ _W_GAUSS)
-    mean = kron / (2.0 * half)
-    resasc = half * (np.abs(fv - mean[:, None]) @ _W_KRONROD)
-    diff = np.abs(kron - gauss)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = resasc * np.minimum(1.0, (200.0 * diff / resasc) ** 1.5)
-    err = np.where(resasc > 0.0, scaled, diff)
-    return kron, err
+def _panels(evaluate: _Evaluator, panels: np.ndarray) -> np.ndarray:
+    """Rule the panels with centers panels[0] and half-widths panels[1].
+
+    Returns the panel state: those two rows, then the Kronrod value of every
+    integrand row on every panel, then its scaled error estimate, shape
+    (2 + 2 rows, panels).
+    """
+    half = panels[1]
+    nodes = panels[0][:, None] + half[:, None] * _NODES
+    fv = evaluate(nodes.ravel()).reshape(-1, *nodes.shape)
+    if not np.isfinite(fv).all():
+        row, panel, node = np.argwhere(~np.isfinite(fv))[0]
+        raise NonFinite(f"integrand returned a non-finite value near "
+                        f"x={float(nodes[panel, node])!r} in row {row}")
+    sums = fv @ _RULES
+    rows = fv.shape[0]
+    state = np.empty((2 + 2 * rows, half.size))
+    state[:2] = panels
+    np.multiply(half, sums[..., 0], out=state[2:2 + rows])
+    # QUADPACK's estimate.  The Kronrod-Gauss difference never exceeds
+    # resasc much, so the ratio below stays in [0, 1], and it is 0 where the
+    # values are constant.
+    resasc = np.abs(sums[..., 2:]) @ _W_KRONROD
+    ratio = np.minimum(np.abs(sums[..., 1]), resasc)
+    ratio /= resasc + _TINY
+    ratio **= 1.5
+    ratio *= resasc
+    np.multiply(half, ratio, out=state[2 + rows:])
+    return state
 
 
-def integrate(f: Callable[[float], float], spec: QuadratureSpec) -> float:
+def integrate(f: Callable, spec: QuadratureSpec) -> float | np.ndarray:
     """Integrate f over spec's interval to the requested tolerance.
 
-    Raises NonConvergence when max_subdivisions bisections are not enough and
-    NonFinite when the integrand returns NaN or an infinity at a node.
+    f maps an array of n nodes to n values, or to shape (m, n) for m
+    integrals over the same interval, which then share the panels and
+    return as an array of m values; a scalar integrand returns a float.
+    Every row meets its own max(abs_tol, rel_tol * |integral|).  Each sweep
+    bisects every panel whose error, as a share of its row's tolerance, is
+    above 1/panels in some row, which is always at least one panel until
+    every row has converged.
+
+    Raises NonConvergence when max_subdivisions bisections are not enough or
+    a panel has narrowed to the float spacing (its midpoint rounds to an
+    endpoint), and NonFinite when a row of the integrand returns NaN or an
+    infinity at a node.
     """
     g, a, b = _fold_infinite(f, spec.lower, spec.upper)
     evaluate = _Evaluator(g)
+    # only a half-width up to this spacing can have reached the float spacing
+    narrow = math.ulp(max(abs(a), abs(b)))
 
-    edges = np.linspace(a, b, _HEAD_PANELS + 1)
-    kron, err = _panels(evaluate, edges[:-1], edges[1:])
-
-    # heap entries: (-error, sequence, lo, hi, value, error)
-    heap = []
-    seq = 0
-    for i in range(_HEAD_PANELS):
-        heap.append((-err[i], seq, edges[i], edges[i + 1], kron[i], err[i]))
-        seq += 1
-    heapq.heapify(heap)
-
+    panels = (b - a) * _HEAD_PANELS
+    panels[0] += a
+    state = _panels(evaluate, panels)
+    rows = (state.shape[0] - 2) // 2
     used = 0
     while True:
-        total = math.fsum(item[4] for item in heap)
-        total_err = math.fsum(item[5] for item in heap)
-        tol = max(spec.abs_tol, spec.rel_tol * abs(total))
-        if total_err <= tol:
-            return total
+        sums = state[2:].sum(axis=1)
+        tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(sums[:rows]))
+        if (sums[rows:] <= tol).all():
+            break
         if used >= spec.max_subdivisions:
+            worst = int(np.argmax(sums[rows:] / tol))
             raise NonConvergence(
-                f"estimated error {total_err:.3e} above tolerance {tol:.3e} "
-                f"after {used} subdivisions")
-        batch = []
-        while heap and len(batch) < _BATCH and used + len(batch) < spec.max_subdivisions:
-            batch.append(heapq.heappop(heap))
-        used += len(batch)
-        lo = np.empty(2 * len(batch))
-        hi = np.empty(2 * len(batch))
-        for i, (_, _, pa, pb, _, _) in enumerate(batch):
-            pm = 0.5 * (pa + pb)
-            lo[2 * i], hi[2 * i] = pa, pm
-            lo[2 * i + 1], hi[2 * i + 1] = pm, pb
-        kron, err = _panels(evaluate, lo, hi)
-        for i in range(lo.size):
-            heapq.heappush(heap, (-err[i], seq, lo[i], hi[i], kron[i], err[i]))
-            seq += 1
+                f"estimated error {sums[rows + worst]:.3e} above tolerance "
+                f"{tol[worst]:.3e} after {used} subdivisions")
+        share = (state[2 + rows:] / tol[:, None]).max(axis=0)
+        split = share > 1.0 / share.size
+        n = np.count_nonzero(split)
+        if used + n > spec.max_subdivisions:
+            n = spec.max_subdivisions - used
+            split[np.argsort(-share, kind="stable")[n:]] = False
+        used += n
+        center, half = state[0, split], 0.5 * state[1, split]
+        child = np.array((np.concatenate((center - half, center + half)),
+                          np.concatenate((half, half))))
+        if half.min() <= narrow:
+            # a child whose midpoint equals an endpoint has nodes that
+            # collapse onto it: the float spacing is as fine as panels get
+            mag = np.abs(child[0])
+            flat = mag + child[1] == mag
+            if flat.any():
+                raise NonConvergence(
+                    f"panel at x={float(child[0, np.argmax(flat)])!r} narrowed "
+                    f"to the float spacing after {used} subdivisions")
+        state = np.concatenate((state[:, ~split], _panels(evaluate, child)), axis=1)
+
+    totals = [math.fsum(row) for row in state[2:2 + rows].tolist()]
+    return np.array(totals) if evaluate.vector else totals[0]
 
 
 def find_root(f: Callable[[float], float], bracket: Sequence[float], tol: float) -> float:

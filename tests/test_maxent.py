@@ -309,6 +309,79 @@ def test_escort_round_trip_below_order_one(alpha, delta, s, monkeypatch):
     assert len(calls) <= 100
 
 
+def test_escort_fit_below_order_zero_keeps_the_bracket_positive():
+    # Below order 0 the escort weight (1 + lam3 x^delta)^p, p < 0, is infinite
+    # where the bracket vanishes, so lam3 stays above -1/upper^delta.  The
+    # escort mean of x^delta rises toward 4.2754 there and reaches 4.2.
+    alpha, upper, delta, target = -0.3857, 3.9906, 1.6059, 4.2
+    problem = MaxEntProblem(np.linspace(0.0, upper, 148), AlphaOrder(alpha),
+                            (MomentConstraint(delta, target),), MaxEntVariant.ESCORT)
+    sol = solve_escort(problem, delta)
+    lam3 = sol.multipliers[1]
+    assert -1.0 / upper ** delta < lam3 < 0.0
+    assert np.all(sol.density_values > 0.0)
+    assert math.isfinite(sol.objective) and sol.euler_residual <= 1e-10
+    from scipy.integrate import quad
+
+    weight = lambda x: (1.0 + lam3 * x ** delta) ** (alpha / (1.0 - alpha))
+    num = quad(lambda x: x ** delta * weight(x), 0.0, upper, epsabs=0, epsrel=1e-13)[0]
+    den = quad(weight, 0.0, upper, epsabs=0, epsrel=1e-13)[0]
+    assert num / den == pytest.approx(target, rel=1e-10)
+
+
+def test_escort_target_beyond_the_floor_is_infeasible():
+    # 8.0241 lies beyond the limit 4.2754 of the admissible range.  A lam3
+    # past -1/upper^delta would zero the density at the span's end, where its
+    # negative power, the escort weight, is infinite.
+    problem = MaxEntProblem(np.linspace(0.0, 3.9906, 148), AlphaOrder(-0.3857),
+                            (MomentConstraint(1.6059, 8.0241),), MaxEntVariant.ESCORT)
+    with pytest.raises(Infeasible):
+        solve_escort(problem, 1.6059)
+
+
+def test_one_integral_per_newton_candidate(monkeypatch):
+    # Each candidate's gaps and Jacobian come from one vector-valued pass:
+    # 1 + m moment rows and (m + 1)(m + 2)/2 Jacobian rows, here 3 + 6.
+    problem = MaxEntProblem(np.linspace(0.0, 2.0, 201), AlphaOrder(0.5),
+                            (MomentConstraint(0.5, E_HALF_RAMP),
+                             MomentConstraint(1.5, E_3HALF_RAMP)))
+    candidates, shapes, sweeps = [], [], []
+    build = maxent._newton_integrand
+
+    def counting_build(*args):
+        candidates.append(args)
+        return build(*args)
+
+    def counting(f, spec):
+        def g(x):
+            sweeps.append(x.size)
+            return f(x)
+
+        value = integrate(g, spec)
+        shapes.append(np.shape(value))
+        return value
+
+    monkeypatch.setattr(maxent, "_newton_integrand", counting_build)
+    monkeypatch.setattr(maxent, "integrate", counting)
+    first = solve(problem)
+    assert len(shapes) == len(candidates) > 0
+    assert set(shapes) == {(9,)}
+    assert len(sweeps) <= 150
+    second = solve(problem)
+    assert first.density_values.tobytes() == second.density_values.tobytes()
+    assert first.multipliers.tobytes() == second.multipliers.tobytes()
+
+
+def test_escort_fits_repeat_bit_for_bit():
+    problem = MaxEntProblem(np.linspace(0.0, 50.0, 501), AlphaOrder(1.5),
+                            (MomentConstraint(1.0, ESCORT_MEAN),),
+                            MaxEntVariant.ESCORT)
+    first, second = solve_escort(problem), solve_escort(problem)
+    assert first.density_values.tobytes() == second.density_values.tobytes()
+    assert first.multipliers.tobytes() == second.multipliers.tobytes()
+    assert first.objective == second.objective
+
+
 def test_escort_frozen_coefficient_is_power_law():
     problem = MaxEntProblem(np.linspace(0.0, 50.0, 501), AlphaOrder(1.5),
                             variant=MaxEntVariant.ESCORT)
@@ -433,8 +506,14 @@ def test_plain_fit_at_order_zero_is_the_triangle():
                                         (MomentConstraint(1.0, 1.3),),
                                         MaxEntVariant.ESCORT)),
      Infeasible, "no bracket coefficient"),
+    # below order 0 the weight f^alpha is infinite where the bracket dies
+    (lambda: solve_escort(MaxEntProblem(np.linspace(0.0, 2.0, 11), AlphaOrder(-0.5),
+                                        variant=MaxEntVariant.ESCORT),
+                          lambda3=-1.0),
+     DomainError, "nonpositive"),
 ], ids=["grid_nan", "constraint_type", "variant_type", "solution_nan",
-        "objective_shape", "lambda3_nan", "escort_order_zero"])
+        "objective_shape", "lambda3_nan", "escort_order_zero",
+        "frozen_lambda3_below_order_zero"])
 def test_typed_errors(build, error, match):
     with pytest.raises(error, match=match):
         build()

@@ -77,6 +77,74 @@ def test_package_error_in_first_batch_is_not_retried_as_scalars():
     assert calls == [1]
 
 
+def test_vector_rows_match_their_scalar_integrals():
+    rows = (np.exp, np.sqrt, lambda x: np.cos(5.0 * x), lambda x: 1.0 / (1.0 + x * x))
+    spec = QuadratureSpec(0.0, 2.0)
+    values = integrate(lambda x: np.array([r(x) for r in rows]), spec)
+    assert isinstance(values, np.ndarray) and values.shape == (4,)
+    exact = (math.exp(2.0) - 1.0, 2.0 ** 1.5 / 1.5, math.sin(10.0) / 5.0, math.atan(2.0))
+    for row, value, truth in zip(rows, values, exact):
+        tol = max(spec.abs_tol, spec.rel_tol * abs(truth))
+        assert abs(value - truth) <= tol
+        assert abs(value - integrate(row, spec)) <= 2.0 * tol
+
+
+def test_each_row_meets_its_own_relative_tolerance():
+    # the small row is the hard one (an endpoint singularity): a tolerance
+    # taken from the large row would leave it almost unrefined
+    spec = QuadratureSpec(0.0, 1.0, rel_tol=1e-10, abs_tol=1e-30)
+    small, large = integrate(
+        lambda x: np.array([1e-9 * x ** -0.5, 1e3 * np.exp(x)]), spec)
+    assert abs(small - 2e-9) <= 1e-10 * 2e-9
+    assert abs(large - 1e3 * (math.e - 1.0)) <= 1e-10 * 1e3 * (math.e - 1.0)
+
+
+def test_scalar_integrands_return_a_python_float():
+    spec = QuadratureSpec(0.0, 1.0)
+    assert type(integrate(np.exp, spec)) is float
+    assert type(integrate(lambda x: math.exp(float(x)), spec)) is float
+
+
+def test_non_finite_value_in_any_row_names_the_node():
+    spec = QuadratureSpec(0.0, 1.0)
+    with pytest.raises(NonFinite, match="in row 1") as info:
+        integrate(lambda x: np.array([x, np.where(x > 0.5, np.nan, 1.0)]), spec)
+    node = float(str(info.value).split("x=")[1].split()[0])
+    assert 0.5 < node < 1.0
+
+
+def test_vector_determinism_bit_identical():
+    spec = QuadratureSpec(0.0, 10.0)
+    f = lambda x: np.array([np.sin(x) * np.exp(-0.3 * x), np.sqrt(x), x ** 3])
+    assert integrate(f, spec).tobytes() == integrate(f, spec).tobytes()
+
+
+def test_panel_at_the_float_spacing_raises():
+    # a pole that is not integrable: bisection narrows the panels around it
+    # until their nodes collapse onto it, where a panel's error estimate is 0
+    # and its value huge, which must not pass as converged
+    f = lambda x: np.maximum(np.abs(x - 0.3141592653589793), 1e-200) ** -1.2
+    with pytest.raises(NonConvergence):
+        integrate(f, QuadratureSpec(0.0, 1.0))
+    with pytest.raises(NonConvergence, match="float spacing"):
+        integrate(f, QuadratureSpec(0.0, 1.0, max_subdivisions=10_000))
+
+
+def test_panel_narrowed_to_nothing_is_a_typed_error():
+    # an escort weight whose bracket vanishes just inside the span, raised to
+    # a negative power past a floor: refinement at the zero reaches the float
+    # spacing, which must end in a typed error, not a 0/0 RuntimeWarning
+    delta, lam3, power = 1.8845941873401648, -0.12962743191561407, -0.24699172001915193
+
+    def weight(x):
+        x_delta = np.power(x, delta)
+        return x_delta * np.power(np.clip(1.0 + lam3 * x_delta, 1e-300, None), power)
+
+    with pytest.raises(NonConvergence, match="float spacing"):
+        integrate(weight, QuadratureSpec(0.0, 2.9568226780039493, rel_tol=1e-12,
+                                         abs_tol=1e-14))
+
+
 def test_budget_exhaustion_raises():
     spec = QuadratureSpec(0.0, 1.0, rel_tol=1e-14, abs_tol=1e-16, max_subdivisions=2)
     with pytest.raises(NonConvergence):
