@@ -16,6 +16,12 @@ against closed-form densities.  Nodal trapezoid sums of a returned solution
 therefore normalize to 1 + O(h^2) while the underlying continuous density
 normalizes to quadrature precision.
 
+Every constraint integral is taken in u on [0, 1], with x = lower + w u**3
+and w = upper - lower.  The rows x**e f have a singular slope at x = 0 for
+a fractional e, which adaptive bisection can reach only one corner panel
+per sweep; in u they go like u**(3e + 2), which the first Kronrod panels
+resolve, so an integral converges in about one sweep.
+
 Each Newton candidate costs one vector-valued quadrature pass: the bracket
 is evaluated once per node, and the rows x**e_j f (the constraint gaps) and
 x**(e_j + e_k) f^alpha (the Jacobian) share the panels.  The Jacobian of the
@@ -75,6 +81,8 @@ _NEWTON_TOL = 1e-10
 _MAX_NEWTON = 80
 _QUAD_REL = 1e-12
 _QUAD_ABS = 1e-14
+# Every constraint integral is taken in u on [0, 1]; see `_integrate`.
+_U_SPEC = QuadratureSpec(0.0, 1.0, rel_tol=_QUAD_REL, abs_tol=_QUAD_ABS)
 # Positive floor for brackets raised to negative powers (alpha > 1).
 _POS_FLOOR = 1e-300
 
@@ -237,39 +245,31 @@ def stationary_density(order: AlphaOrder, multipliers: Sequence[float],
 
 def _integrate(integrand: Callable[[np.ndarray], np.ndarray], lower: float,
                upper: float) -> float | np.ndarray:
-    return integrate(integrand, QuadratureSpec(lower, upper, rel_tol=_QUAD_REL,
-                                               abs_tol=_QUAD_ABS))
+    # x = lower + w u^3, dx = 3 w u^2 du; see the module docstring
+    width = upper - lower
+
+    def mapped(u: np.ndarray) -> np.ndarray:
+        u2 = u * u
+        return integrand(lower + width * (u2 * u)) * (3.0 * width * u2)
+
+    return integrate(mapped, _U_SPEC)
 
 
-def _guard_positive(alpha: float, lam: np.ndarray, exponents: Sequence[float],
-                    grid: np.ndarray) -> None:
-    # For alpha > 1 the family blows up where the bracket crosses zero, so a
-    # Newton candidate whose bracket dips nonpositive anywhere on the span is
-    # rejected before any integral is attempted.
-    if alpha < 1.0:
-        return
-    probe = np.union1d(grid, (grid[:-1] + grid[1:]) / 2.0)
-    if np.min(_bracket(lam, exponents, probe)) <= 0.0:
-        raise NonFinite("stationary-family bracket lost positivity on the span")
-
-
-def _newton_integrand(alpha: float, lam: np.ndarray, exponents: Sequence[float]
-                      ) -> Callable[[np.ndarray], np.ndarray]:
-    # One Newton candidate's integrals as rows over shared nodes: the moments
-    # x^e_j f for e = (0, *exponents), then the Jacobian's upper triangle
-    # x^(e_j + e_k) f^alpha, j <= k.  The bracket is evaluated once per node.
-    # f^alpha, at power alpha/(1-alpha), stays integrable at a support edge
-    # for every admissible order; below order 1 it vanishes past the edge
-    # like f, since it is the derivative weight of the clipped family.
-    all_exps = np.array((0.0,) + tuple(exponents))
-    j, k = np.triu_indices(all_exps.size)
-    row_exps = np.concatenate((all_exps, all_exps[j] + all_exps[k]))[:, None]
-    weighted = np.repeat([0, 1], [all_exps.size, j.size])
+def _newton_integrand(alpha: float, lam: np.ndarray, row_exps: np.ndarray,
+                      weighted: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    # One Newton candidate's integrals as rows over shared nodes: row r is
+    # x^row_exps[r] times f (weighted[r] == 0) or f^alpha (weighted[r] == 1).
+    # The first 1 + m rows have the exponents (0, *e), so the bracket is
+    # evaluated once per node from them.  f^alpha, at power alpha/(1-alpha),
+    # stays integrable at a support edge for every admissible order; below
+    # order 1 it vanishes past the edge like f, since it is the derivative
+    # weight of the clipped family.
+    n = lam.size
     vanish = alpha < 1.0
 
     def integrand(x: np.ndarray) -> np.ndarray:
         x_powers = np.power(np.asarray(x, dtype=float), row_exps)
-        bracket = (lam[0] + lam[1:] @ x_powers[1:all_exps.size]) / (2.0 - alpha)
+        bracket = (lam[0] + lam[1:] @ x_powers[1:n]) / (2.0 - alpha)
         base = np.array((_clipped_power(bracket, 1.0 / (1.0 - alpha), vanish),
                          _clipped_power(bracket, alpha / (1.0 - alpha), vanish)))
         return x_powers * base[weighted]
@@ -296,15 +296,28 @@ def _newton(problem: MaxEntProblem, lam0: np.ndarray) -> np.ndarray:
     offsets = np.array((1.0,) + problem.targets)
     n = offsets.size
     upper_tri = np.triu_indices(n)
+    # Every candidate's pass has the same rows: the moments x^e_j f for
+    # e = (0, *exponents), then the Jacobian's upper triangle, since
     # d(moment_j)/d(lam_k) = integral of x^(e_j + e_k) f^alpha
     #                        / ((1 - alpha) (2 - alpha)); symmetric.
+    all_exps = np.array((0.0,) + exponents)
+    row_exps = np.concatenate((all_exps, all_exps[upper_tri[0]]
+                               + all_exps[upper_tri[1]]))[:, None]
+    weighted = np.repeat([0, 1], [n, upper_tri[0].size])
     coeff = 1.0 / ((1.0 - alpha) * (2.0 - alpha))
+    # For alpha > 1 the family blows up where the bracket crosses zero, so a
+    # candidate whose bracket dips nonpositive at a node or cell midpoint is
+    # rejected before any integral is attempted.
+    grid = problem.grid
+    probe = np.union1d(grid, (grid[:-1] + grid[1:]) / 2.0) if alpha > 1.0 else None
 
     def gaps_and_jacobian(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # one integral pass per candidate; the Jacobian of an accepted
         # candidate serves the next step
-        _guard_positive(alpha, lam, exponents, problem.grid)
-        values = _integrate(_newton_integrand(alpha, lam, exponents), lower, upper)
+        if probe is not None and np.min(_bracket(lam, exponents, probe)) <= 0.0:
+            raise NonFinite("stationary-family bracket lost positivity on the span")
+        values = _integrate(_newton_integrand(alpha, lam, row_exps, weighted),
+                            lower, upper)
         gaps = values[:n] - offsets
         if not np.all(np.isfinite(gaps)):
             raise NonFinite("constraint integral did not come out finite")

@@ -345,7 +345,7 @@ def test_one_integral_per_newton_candidate(monkeypatch):
     problem = MaxEntProblem(np.linspace(0.0, 2.0, 201), AlphaOrder(0.5),
                             (MomentConstraint(0.5, E_HALF_RAMP),
                              MomentConstraint(1.5, E_3HALF_RAMP)))
-    candidates, shapes, sweeps = [], [], []
+    candidates, shapes, sweeps, per_integral = [], [], [], []
     build = maxent._newton_integrand
 
     def counting_build(*args):
@@ -357,8 +357,10 @@ def test_one_integral_per_newton_candidate(monkeypatch):
             sweeps.append(x.size)
             return f(x)
 
+        start = len(sweeps)
         value = integrate(g, spec)
         shapes.append(np.shape(value))
+        per_integral.append(len(sweeps) - start)
         return value
 
     monkeypatch.setattr(maxent, "_newton_integrand", counting_build)
@@ -367,9 +369,54 @@ def test_one_integral_per_newton_candidate(monkeypatch):
     assert len(shapes) == len(candidates) > 0
     assert set(shapes) == {(9,)}
     assert len(sweeps) <= 150
+    # In u, where x = 2 u^3, the x^0.5 rows are smooth at the left end, so
+    # no integral halves its corner panel sweep after sweep.
+    assert max(per_integral) <= 3
     second = solve(problem)
     assert first.density_values.tobytes() == second.density_values.tobytes()
     assert first.multipliers.tobytes() == second.multipliers.tobytes()
+
+
+def test_per_problem_tables_are_built_once_per_newton_iteration(monkeypatch):
+    # The row exponents and the positivity probe depend on the problem alone,
+    # so every candidate of one Newton iteration shares them.
+    counts = dict.fromkeys(("newton", "candidates", "triu_indices", "union1d"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(maxent, "_newton", counted("newton", maxent._newton))
+    monkeypatch.setattr(maxent, "_newton_integrand",
+                        counted("candidates", maxent._newton_integrand))
+    monkeypatch.setattr(np, "triu_indices", counted("triu_indices", np.triu_indices))
+    monkeypatch.setattr(np, "union1d", counted("union1d", np.union1d))
+    solve(MaxEntProblem(np.linspace(0.0, 3.0, 151), AlphaOrder(1.5),
+                        (MomentConstraint(1.0, 0.8),)))
+    assert counts["candidates"] > counts["newton"] >= 1
+    assert counts["triu_indices"] == counts["union1d"] == counts["newton"]
+
+
+@pytest.mark.parametrize("lower,upper,exponents", [
+    (0.0, 2.0, (0.3, 1.7)),
+    (0.0, 5.5, (0.3, 1.7, 0.0)),
+    (0.5, 4.0, (-0.7, -2.5, 1.7)),
+])
+def test_integrals_in_u_match_exact_power_integrals(lower, upper, exponents):
+    # x^e integrates to (U^(e+1) - L^(e+1))/(e+1) over [L, U], as one row of
+    # a vector-valued pass and as a scalar integral.
+    exact = [(upper ** (e + 1.0) - lower ** (e + 1.0)) / (e + 1.0) for e in exponents]
+    rows = np.array(exponents)[:, None]
+    values = maxent._integrate(lambda x: np.power(x, rows), lower, upper)
+    assert values.shape == (len(exponents),)
+    np.testing.assert_allclose(values, exact, rtol=1e-12, atol=0.0)
+    for e, ref in zip(exponents, exact):
+        value = maxent._integrate(lambda x: np.power(x, e), lower, upper)
+        assert isinstance(value, float)
+        assert value == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 def test_escort_fits_repeat_bit_for_bit():
