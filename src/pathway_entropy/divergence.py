@@ -21,7 +21,6 @@ caller's tolerances to leave headroom under that bound.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,6 +31,7 @@ from .entropy_discrete import (
     MATHAI_M,
     AlphaOrder,
     DiscreteDistribution,
+    _sum,
     entropy_from_power_sum,
     validate_order,
 )
@@ -107,7 +107,7 @@ def kerridge_inaccuracy(inp: InaccuracyInput,
     if isinstance(f, DiscreteDistribution):
         mask = f.probs > 0.0
         terms = f.probs[mask] * q.probs[mask] ** (a - 1.0)
-        expected = math.fsum(terms.tolist())
+        expected = _sum(terms)
     else:
         def integrand(x):
             fv = _values(f, x)

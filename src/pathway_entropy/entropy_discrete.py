@@ -22,9 +22,13 @@ The composition law for independent product distributions,
 
 holds exactly with the family coefficient a(alpha) returned by
 `composition_coefficient`, and its three-fold extension adds the pair products
-weighted by a(alpha) and the triple product weighted by a(alpha)^2.  Power
-sums are accumulated with exact compensated summation (math.fsum) so the
-residual operations stay at the 1e-12 / 1e-10 level demanded of them.
+weighted by a(alpha) and the triple product weighted by a(alpha)^2.  The
+probability total, the Shannon sum and the power sums are correctly rounded,
+the value math.fsum returns, so the residual operations stay at the
+1e-12 / 1e-10 level demanded of them.  `_sum` is math.fsum itself below
+2,048 entries; from 2,048 on it is a vectorized TwoSum fold whose rounding is
+certified against a bound on the fold's error, and math.fsum of the whole
+vector when the bound cannot settle the rounding or an entry is not finite.
 """
 from __future__ import annotations
 
@@ -70,6 +74,50 @@ __all__ = [
 ]
 
 _SUM_SLACK = 1e-9
+
+_FSUM_BELOW = 2048
+_PARTIALS = 1024
+_EPS = float(np.finfo(float).eps)
+
+
+def _sum(values: np.ndarray) -> float:
+    """The correctly rounded sum of a 1-D float array, bit for bit what
+    math.fsum(values.tolist()) returns, signs mixed or not.
+
+    From 2,048 entries on, TwoSum (Knuth, TAOCP vol. 2, 4.2.2; Ogita, Rump &
+    Oishi, SIAM J. Sci. Comput. 26, 2005) folds the upper part of the vector
+    onto the lower, as if it were padded with zeros to a power of two, until
+    1,024 exact partial sums remain; each fold's errors are summed in numpy.  A floating sum of k terms is off by at most
+    (k - 1) u sum|e| (u = eps / 2), so k eps sum|e| bounds each error sum, and
+    the two ends of the interval that the bound leaves round alike unless the
+    true sum lies that close to a rounding tie.  Those sums fall back to
+    math.fsum of the whole vector, as do a zero sum (its sign is fsum's to
+    choose) and any input where n max|x| reaches 2^1000, so inf, NaN and
+    fsum's OverflowError stay as they were.
+    """
+    n = values.size
+    if n < _FSUM_BELOW or not max(values.max(), -values.min()) < 2.0 ** 1000 / n:
+        return math.fsum(values.tolist())
+    s = values
+    errors, slack = [], 0.0
+    while s.size > _PARTIALS:
+        half = 1 << (s.size - 1).bit_length() - 1
+        a, b = s[:s.size - half], s[half:]
+        # TwoSum: t + e == a + b exactly
+        t = a + b
+        bb = t - a
+        e = t - bb
+        np.subtract(a, e, out=e)
+        np.subtract(b, bb, out=bb)
+        e += bb
+        errors.append(float(e.sum()))
+        slack += e.size * float(np.abs(e, out=e).sum())
+        s = t if t.size == half else np.concatenate((t, s[t.size:half]))
+    parts, bound = s.tolist() + errors, _EPS * slack
+    low = math.fsum(parts + [-bound])
+    if low != 0.0 and low == math.fsum(parts + [bound]):
+        return low
+    return math.fsum(values.tolist())
 
 
 class ZeroPolicy(Enum):
@@ -145,7 +193,7 @@ class DiscreteDistribution:
                     "strict_positive distribution contains a non-positive entry")
         elif np.any(p < 0.0):
             raise InvalidDistribution("probabilities must be non-negative")
-        total = math.fsum(p.tolist())
+        total = _sum(p)
         if abs(total - 1.0) > _SUM_SLACK:
             raise InvalidDistribution(
                 f"probabilities sum to {total!r}, outside 1 +/- {_SUM_SLACK}")
@@ -163,7 +211,12 @@ class DiscreteDistribution:
         return int(self.probs.size)
 
     def nonzero(self) -> np.ndarray:
-        return self.probs[self.probs > 0.0]
+        """The positive entries: the stored array itself when none is zero."""
+        p = self.probs
+        if self.zero_policy is ZeroPolicy.STRICT_POSITIVE:
+            return p
+        positive = p > 0.0
+        return p if positive.all() else p[positive]
 
 
 def validate_order(family: EntropyFamily, order: AlphaOrder) -> None:
@@ -255,8 +308,8 @@ def entropy(dist: DiscreteDistribution, family: EntropyFamily,
     validate_order(family, order)
     p = dist.nonzero()
     return _from_statistic(family, order,
-                           lambda: -math.fsum((p * np.log(p)).tolist()),
-                           lambda c: math.fsum(np.exp(c * np.log(p)).tolist()))
+                           lambda: -_sum(p * np.log(p)),
+                           lambda c: _sum(np.exp(c * np.log(p))))
 
 
 def composition_coefficient(family: EntropyFamily, order: AlphaOrder) -> float:

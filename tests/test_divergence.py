@@ -22,6 +22,7 @@ from pathway_entropy.entropy_discrete import (
     AlphaOrder,
     DiscreteDistribution,
     entropy,
+    entropy_from_power_sum,
     shannon_limit_constant,
 )
 from pathway_entropy.errors import DomainError, InvalidOrder
@@ -58,6 +59,16 @@ def test_self_assignment_order_one_limit():
         inp = InaccuracyInput(dist, dist, AlphaOrder(alpha))
         assert abs(kerridge_inaccuracy(inp) - target) < 1e-2
 
+
+
+def test_long_discrete_inaccuracy_matches_the_fsum_route():
+    rng = np.random.default_rng(8)
+    f, q = (DiscreteDistribution(w / w.sum())
+            for w in (rng.random(50_000) + 0.01, rng.random(50_000) + 0.01))
+    order = AlphaOrder(1.7)
+    expected = math.fsum((f.probs * q.probs ** (order.alpha - 1.0)).tolist())
+    assert kerridge_inaccuracy(InaccuracyInput(f, q, order)) == \
+        entropy_from_power_sum(HAVRDA_CHARVAT, order, expected)
 
 def test_continuous_inaccuracy_closed_form():
     # f = e^-x, q = 2 e^-2x, alpha = 2: E_f[q] = 2/3, value (2/3-1)/(-1/2)

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pathway_entropy.entropy_discrete import (
@@ -23,12 +23,14 @@ from pathway_entropy.entropy_discrete import (
     EntropyFamily,
     FamilyTag,
     ZeroPolicy,
+    _sum,
     composition_coefficient,
     composition_residual_bivariate,
     composition_residual_trivariate,
     entropy,
     entropy_from_power_sum,
     functional_equation_residual,
+    power_exponent,
     product_distribution,
     recursivity_weight,
     shannon_limit_constant,
@@ -322,3 +324,133 @@ def test_power_sum_map_checks_its_order():
 def test_typed_errors(build, error, match):
     with pytest.raises(error, match=match):
         build()
+
+
+# ------------------------------------------------------ correctly rounded sums
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1_500, 100_000), st.integers(0, 2 ** 32 - 1), st.booleans())
+@example(2_047, 1, True)
+@example(2_048, 2, True)
+@example(2_049, 3, False)
+def test_sum_equals_fsum_bit_for_bit(n, seed, mixed_signs):
+    rng = np.random.default_rng(seed)
+    values = 10.0 ** rng.uniform(-20.0, 20.0, n)
+    if mixed_signs:
+        values *= rng.choice([-1.0, 1.0], n)
+    assert _sum(values) == math.fsum(values.tolist())
+
+
+@pytest.fixture
+def fsum_lengths(monkeypatch):
+    """Patch math.fsum to record the length of every list it sums."""
+    fsum = math.fsum
+    lengths = []
+
+    def counting_fsum(xs):
+        xs = list(xs)
+        lengths.append(len(xs))
+        return fsum(xs)
+
+    monkeypatch.setattr(math, "fsum", counting_fsum)
+    return lengths
+
+
+def _tie():
+    # 1 + 2^-53 lies halfway between 1 and its successor, and the first fold
+    # pairs entries 0 and 4096, leaving 2^-53 as a TwoSum error
+    values = np.zeros(5_000)
+    values[0], values[4_096] = 1.0, 2.0 ** -53
+    return values
+
+
+def _tie_up():
+    values = _tie()
+    values[0] = 1.0 + 2.0 ** -52
+    return values
+
+
+def _cancelling_errors():
+    # the folds of +-1e16 with +-1 leave errors +1 and -1, whose bound
+    # swamps the true sum 2^-60
+    values = np.zeros(5_000)
+    values[[0, 4_096, 1, 4_097, 2]] = 1e16, 1.0, -1e16, -1.0, 2.0 ** -60
+    return values
+
+
+def _rounded_error_sum():
+    # the first fold's errors are 2^-53 and 2^-200, whose float sum drops
+    # the 2^-200 that lifts 1 + 2^-53 off the tie: only the bound on that
+    # sum sends this to the fallback
+    values = np.zeros(5_000)
+    values[[0, 4_096, 1, 4_097, 2]] = (1.0, 2.0 ** -53, 2.0 ** -140, 2.0 ** -200,
+                                       -2.0 ** -140)
+    return values
+
+
+@pytest.mark.parametrize("build,expected", [
+    (_tie, 1.0),
+    (_tie_up, 1.0 + 2.0 ** -51),
+    (_cancelling_errors, 2.0 ** -60),
+    (_rounded_error_sum, 1.0 + 2.0 ** -52),
+], ids=["tie_to_even_down", "tie_to_even_up", "cancelling_errors", "rounded_error_sum"])
+def test_sum_falls_back_to_fsum_when_the_certificate_fails(build, expected,
+                                                           fsum_lengths):
+    values = build()
+    assert math.fsum(values.tolist()) == expected
+    fsum_lengths.clear()
+    assert _sum(values) == expected
+    assert fsum_lengths[-1] == values.size
+
+
+def test_sum_certifies_without_the_full_fsum(fsum_lengths):
+    values = _random_dist(np.random.default_rng(3), 50_000).probs
+    expected = math.fsum(values.tolist())
+    fsum_lengths.clear()
+    assert _sum(values) == expected
+    assert max(fsum_lengths) < 1_100
+
+
+@pytest.mark.parametrize("head", [
+    [math.inf], [math.nan], [math.inf, -math.inf], [1e308, 1e308, -1e308],
+], ids=["inf", "nan", "inf_minus_inf", "intermediate_overflow"])
+def test_sum_of_non_finite_or_huge_entries_is_fsum(head):
+    values = np.concatenate((head, np.zeros(3_000)))
+    try:
+        expected = repr(math.fsum(values.tolist()))
+    except (OverflowError, ValueError) as exc:
+        expected = repr(exc)
+    try:
+        got = repr(_sum(values))
+    except (OverflowError, ValueError) as exc:
+        got = repr(exc)
+    assert got == expected
+
+
+def test_nonzero_returns_the_stored_array_without_zeros():
+    dist = DiscreteDistribution(np.array([0.2, 0.3, 0.5]))
+    assert dist.nonzero() is dist.probs
+    loose = DiscreteDistribution(np.array([0.2, 0.3, 0.5]), ZeroPolicy.ZERO_INDIFFERENT)
+    assert loose.nonzero() is loose.probs
+    zeros = DiscreteDistribution(np.array([0.2, 0.0, 0.8]), ZeroPolicy.ZERO_INDIFFERENT)
+    assert zeros.nonzero().tolist() == [0.2, 0.8]
+
+
+def test_million_entry_entropies_match_the_fsum_route():
+    raw = np.random.default_rng(2024).random(10 ** 6) + 0.01
+    raw /= raw.sum()
+    dist = DiscreteDistribution(raw)
+    p = raw / math.fsum(raw.tolist())
+    assert np.array_equal(dist.probs, p)
+    shannon = -math.fsum((p * np.log(p)).tolist())
+    for family, alpha in [(SHANNON, 1.0), (HAVRDA_CHARVAT, 1.0), (RENYI, 0.6),
+                          (HAVRDA_CHARVAT, 1.7), (TSALLIS, 2.5), (MATHAI_M, 0.4),
+                          (MATHAI_M_STAR, 1.3)]:
+        order = AlphaOrder(alpha)
+        if alpha == 1.0:
+            expected = shannon_limit_constant(family) * shannon
+        else:
+            c = power_exponent(family, order)
+            expected = entropy_from_power_sum(
+                family, order, math.fsum(np.exp(c * np.log(p)).tolist()))
+        assert entropy(dist, family, order) == expected

@@ -3,7 +3,9 @@
 The moment targets below are frozen from an independent 50-digit
 evaluation of the generating densities' integrals.
 """
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -564,3 +566,21 @@ def test_plain_fit_at_order_zero_is_the_triangle():
 def test_typed_errors(build, error, match):
     with pytest.raises(error, match=match):
         build()
+
+
+def _roundtrip_demo():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "maxent_roundtrip_demo.py"
+    spec = importlib.util.spec_from_file_location("maxent_roundtrip_demo", path)
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    return demo
+
+
+def test_roundtrip_demo_exits_nonzero_above_its_gap_limit(monkeypatch, capsys):
+    demo = _roundtrip_demo()
+    assert demo.main() == 0
+    # the escort truth off by 1e-4 relative: a gap of about 5e-5
+    exact = demo.density
+    monkeypatch.setattr(demo, "density", lambda params, x: exact(params, x) * (1.0 + 1e-4))
+    assert demo.main() == 1
+    assert "FAIL" in capsys.readouterr().out
