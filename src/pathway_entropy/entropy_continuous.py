@@ -8,9 +8,11 @@ f^(2-alpha) for the mathai forms), evaluated by the adaptive quadrature in
 The product-composition law carries over verbatim: for the independent joint
 density f(x) g(y) the joint measure equals F(f) + F(g) + a(alpha) F(f) F(g).
 `composition_residual_continuous` evaluates the joint side by genuinely
-iterated two-dimensional quadrature (inner integral per outer node) rather
-than through the separable shortcut, so the residual really does compare two
-independently computed routes.
+iterated two-dimensional quadrature rather than through the separable
+shortcut, so the residual really does compare two independently computed
+routes.  Each outer sweep runs one vector-valued inner pass over y, with one
+row per outer node x, so the inner integrals share panels while each meets
+its own tolerance.
 """
 from __future__ import annotations
 
@@ -162,18 +164,26 @@ def continuous_entropy(f: DensitySpec, family: EntropyFamily, order: AlphaOrder,
 
 def _joint(f: DensitySpec, g: DensitySpec, spec: QuadratureSpec | None,
            term: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Iterated integral of term(f(x) g(y)): the outer quadrature over x runs
-    one inner adaptive quadrature over y at each of its nodes."""
-    inner_spec = g.quadrature_spec(spec)
+    """Iterated integral of term(f(x) g(y)): each outer sweep's batch of
+    nodes x runs one vector-valued inner quadrature over y, one row per node
+    with f(x) > 0, so the rows share panels while each meets its own
+    tolerance.  Nodes with f(x) <= 0 contribute 0 without an inner pass.
 
-    def inner(fx: float) -> float:
-        if fx <= 0.0:
-            return 0.0
-        return integrate(lambda y: term(fx * _values(g, y)), inner_spec)
+    g's values are broadcast to y's shape first: a pdf that returns one
+    float for an array of y would otherwise give one value per row, which
+    reads as a single row when there are as many rows as nodes.
+    """
+    inner_spec = g.quadrature_spec(spec)
 
     def outer(x):
         fx = _values(f, x)
-        return np.array([inner(float(v)) for v in fx.ravel()]).reshape(fx.shape)
+        out = np.zeros(fx.shape)
+        live = fx > 0.0
+        if live.any():
+            rows = fx[live]
+            out[live] = integrate(lambda y: term(np.multiply.outer(
+                rows, np.broadcast_to(_values(g, y), np.shape(y)))), inner_spec)
+        return out
 
     return integrate(outer, f.quadrature_spec(spec))
 

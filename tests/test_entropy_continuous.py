@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from pathway_entropy import entropy_continuous
 from pathway_entropy.divergence import (
     InaccuracyInput,
     kerridge_inaccuracy,
@@ -19,6 +20,10 @@ from pathway_entropy.entropy_continuous import (
     exponential_density,
     gaussian_density,
     uniform_density,
+    _joint,
+    _power,
+    _shannon,
+    _values,
 )
 from pathway_entropy.entropy_discrete import (
     ALPHA_FAMILIES,
@@ -37,7 +42,8 @@ from pathway_entropy.entropy_discrete import (
     shannon_limit_constant,
 )
 from pathway_entropy.errors import DomainError, InvalidDistribution, NonFinite
-from pathway_entropy.quadrature import QuadratureSpec
+from pathway_entropy.pathway import PathwayParams, as_density_spec
+from pathway_entropy.quadrature import QuadratureSpec, integrate
 
 EXPO = exponential_density(1.0)
 GAUSS = gaussian_density()
@@ -127,6 +133,59 @@ def test_composition_with_scalar_valued_pdf():
     for family, alpha in ((SHANNON, 1.0), (TSALLIS, 1.5)):
         res = composition_residual_continuous(scalar_unit, EXPO, family, AlphaOrder(alpha))
         assert abs(res) < 1e-6
+
+
+@pytest.mark.parametrize("g", [DensitySpec(lambda y: 1.0, 0.0, 1.0),
+                               DensitySpec(lambda y: math.exp(-y), 0.0, math.inf)],
+                         ids=["constant", "math_exp"])
+def test_composition_with_scalar_valued_inner_pdf(g):
+    # g is the joint side's inner density.  f = (1 + x)^-2 is positive at all
+    # 120 head nodes, so the first inner batch has as many rows as nodes: a
+    # single float of g, not broadcast to the nodes, would pass for one row
+    # of 120 values (f^1.5 is a polynomial in the folded variable, so that
+    # row converges at once, to a wrong value).
+    f = DensitySpec(lambda x: (1.0 + np.asarray(x, dtype=float)) ** -2, 0.0, math.inf)
+    for family, alpha in ((SHANNON, 1.0), (TSALLIS, 1.5)):
+        res = composition_residual_continuous(f, g, family, AlphaOrder(alpha))
+        assert abs(res) < 1e-6
+
+
+# one pathway density in each alpha regime: compact support, alpha = 1, and
+# a power-law tail
+PATHWAY_FACTORS = [PathwayParams(0.5, 2.0, 1.5, 1.0, 1.0),
+                   PathwayParams(1.0, 1.5, 2.0, 0.8, 1.0),
+                   PathwayParams(1.4, 2.0, 1.5, 1.0, 2.5)]
+
+
+@pytest.mark.parametrize("params", PATHWAY_FACTORS, ids=["below_one", "at_one", "above_one"])
+@pytest.mark.parametrize("g", [EXPO, GAUSS], ids=["exponential", "gaussian"])
+def test_composition_pathway_pairs_tight(params, g):
+    # the inner integrals share panels, yet each row still meets its own
+    # tolerance: the two routes agree far below the 1e-6 working contract
+    f = as_density_spec(params)
+    for family, alpha in ((SHANNON, 1.0), (TSALLIS, 1.5), (MATHAI_M, 0.5), (RENYI, 2.0)):
+        res = composition_residual_continuous(f, g, family, AlphaOrder(alpha))
+        assert abs(res) < 1e-10
+
+
+def _joint_per_node(f, g, term):
+    # reference: one scalar inner integral at each outer node
+    def outer(x):
+        return np.array([integrate(lambda y: term(fx * _values(g, y)), g.quadrature_spec())
+                         if fx > 0.0 else 0.0 for fx in _values(f, x)])
+
+    return integrate(outer, f.quadrature_spec())
+
+
+@pytest.mark.parametrize("f,g", [(EXPO, GAUSS),
+                                 (as_density_spec(PATHWAY_FACTORS[2]), EXPO)],
+                         ids=["exponential_gaussian", "pathway_exponential"])
+def test_joint_side_matches_per_node_inner_integrals(f, g):
+    # shared inner panels change only rounding and over-resolution: both
+    # routes are within the 1e-10 relative tolerance of the same integral
+    for term in (_shannon, _power(0.5), _power(1.5)):
+        assert _joint(f, g, None, term) == pytest.approx(
+            _joint_per_node(f, g, term), rel=2e-10)
 
 
 def test_composition_exponential_uniform_tsallis():
@@ -236,19 +295,36 @@ def test_non_positive_power_statistic_is_domain_error():
 
 
 @pytest.mark.parametrize("family,alpha", [(SHANNON, 1.0), (TSALLIS, 1.5), (RENYI, 0.5)])
-def test_joint_side_runs_an_inner_integral_per_outer_node(family, alpha):
+def test_joint_side_runs_an_inner_integral_per_outer_node(family, alpha, monkeypatch):
     # The joint side must stay an iterated integral (the composition check's
-    # second route), not the product of two 1-D integrals: g's pdf is called
-    # at least once per node of the outer rule's 8 head panels x 15 nodes.
-    calls = []
+    # second route), not the product of two 1-D integrals: its inner
+    # integrals over g's support carry at least one row per node of the
+    # outer rule's 8 head panels x 15 nodes, each for a distinct f(x).  The
+    # first batch of every integrand over g's support is recorded, one row
+    # per integral it carries; rows term(f(x) g(y)) on the same nodes y are
+    # equal only when their f(x) are.
+    rows = []
+    real = entropy_continuous.integrate
 
-    def g_pdf(y):
-        calls.append(1)
-        return GAUSS.pdf(y)
+    def recording(integrand, spec):
+        if (spec.lower, spec.upper) != (GAUSS.lower, GAUSS.upper):
+            return real(integrand, spec)
+        first = []
 
-    g = DensitySpec(g_pdf, GAUSS.lower, GAUSS.upper)
-    continuous_entropy(g, family, AlphaOrder(alpha))
-    one_dim = len(calls)
-    calls.clear()
-    composition_residual_continuous(EXPO, g, family, AlphaOrder(alpha))
-    assert len(calls) - one_dim >= 8 * 15
+        def recorded(y):
+            out = np.asarray(integrand(y), dtype=float)
+            if not first:
+                first.append(out.reshape(-1, np.size(y)))
+            return out
+
+        value = real(recorded, spec)
+        rows.extend(first[0])
+        return value
+
+    monkeypatch.setattr(entropy_continuous, "integrate", recording)
+    continuous_entropy(GAUSS, family, AlphaOrder(alpha))
+    one_dim = len(rows)
+    composition_residual_continuous(EXPO, GAUSS, family, AlphaOrder(alpha))
+    # the composition's own F(g) comes first, then the joint side
+    joint = np.array(rows[2 * one_dim:])
+    assert len(np.unique(joint, axis=0)) >= 8 * 15
