@@ -111,7 +111,7 @@ def kerridge_inaccuracy(inp: InaccuracyInput,
     else:
         def integrand(x):
             fv = _values(f, x)
-            qv = np.asarray(q.pdf(x), dtype=float)
+            qv = _values(q, x)
             if np.any((fv > 0.0) & (qv <= 0.0)):
                 raise DomainError("assigned density is zero where f has mass")
             qv = np.where(fv > 0.0, qv, 1.0)

@@ -30,7 +30,7 @@ from .entropy_discrete import (
     validate_order,
 )
 from .errors import DomainError, InvalidDistribution, NonFinite
-from .quadrature import QuadratureSpec, integrate
+from .quadrature import QuadratureSpec, _Evaluator, integrate
 
 __all__ = [
     "DensitySpec",
@@ -53,6 +53,8 @@ class DensitySpec:
     the bundled constructors below are normalized in closed form.  Negative
     density values are clamped to zero and a NaN value raises NonFinite; the
     order-alpha measures of a density with zero mass raise DomainError.
+    `pdf` may be vectorized or scalar-only; it is adapted once per node
+    batch, so the measures and compositions built on it stay batched.
     """
 
     pdf: Callable[[np.ndarray], np.ndarray]
@@ -85,8 +87,8 @@ class DensitySpec:
 
 
 def _values(f: DensitySpec, x: np.ndarray) -> np.ndarray:
-    # negative round-off values of a pdf are clamped to zero; NaN is an error
-    v = np.asarray(f.pdf(x), dtype=float)
+    # the only call of a user pdf; round-off negatives clamp to 0, NaN raises
+    v = _Evaluator(f.pdf)(x)
     if np.isnan(v).any():
         raise NonFinite("density returned NaN")
     return np.where(v > 0.0, v, 0.0)
@@ -168,10 +170,6 @@ def _joint(f: DensitySpec, g: DensitySpec, spec: QuadratureSpec | None,
     nodes x runs one vector-valued inner quadrature over y, one row per node
     with f(x) > 0, so the rows share panels while each meets its own
     tolerance.  Nodes with f(x) <= 0 contribute 0 without an inner pass.
-
-    g's values are broadcast to y's shape first: a pdf that returns one
-    float for an array of y would otherwise give one value per row, which
-    reads as a single row when there are as many rows as nodes.
     """
     inner_spec = g.quadrature_spec(spec)
 
@@ -181,8 +179,8 @@ def _joint(f: DensitySpec, g: DensitySpec, spec: QuadratureSpec | None,
         live = fx > 0.0
         if live.any():
             rows = fx[live]
-            out[live] = integrate(lambda y: term(np.multiply.outer(
-                rows, np.broadcast_to(_values(g, y), np.shape(y)))), inner_spec)
+            out[live] = integrate(
+                lambda y: term(np.multiply.outer(rows, _values(g, y))), inner_spec)
         return out
 
     return integrate(outer, f.quadrature_spec(spec))

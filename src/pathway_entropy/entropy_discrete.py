@@ -87,10 +87,11 @@ def _sum(values: np.ndarray) -> float:
     From 2,048 entries on, TwoSum (Knuth, TAOCP vol. 2, 4.2.2; Ogita, Rump &
     Oishi, SIAM J. Sci. Comput. 26, 2005) folds the upper part of the vector
     onto the lower, as if it were padded with zeros to a power of two, until
-    1,024 exact partial sums remain; each fold's errors are summed in numpy.  A floating sum of k terms is off by at most
-    (k - 1) u sum|e| (u = eps / 2), so k eps sum|e| bounds each error sum, and
-    the two ends of the interval that the bound leaves round alike unless the
-    true sum lies that close to a rounding tie.  Those sums fall back to
+    1,024 exact partial sums remain; each fold's errors are summed in
+    numpy.  A floating sum of k terms is off by at most (k - 1) u sum|e|
+    (u = eps / 2), so k eps sum|e| bounds each error sum, and the two ends
+    of the interval that the bound leaves round alike unless the true sum
+    lies that close to a rounding tie.  Those sums fall back to
     math.fsum of the whole vector, as do a zero sum (its sign is fsum's to
     choose) and any input where n max|x| reaches 2^1000, so inf, NaN and
     fsum's OverflowError stay as they were.

@@ -217,7 +217,9 @@ def _clipped_power(b: np.ndarray, power: float, vanish: bool) -> np.ndarray:
     # With `vanish` the result is 0 wherever the bracket is not positive
     # (compact support), and the power runs only on the rest; a NaN bracket
     # is not zeroed, so the integrator still sees it.  Otherwise the bracket
-    # is floored just above zero so a negative power stays finite.
+    # is floored just above zero so a negative power stays finite.  The
+    # escort weight f^alpha shares the rule: its bracket stays positive on
+    # the span below order 0, so only at order 0 is f^0 cut to 0 past an edge.
     if vanish:
         return np.power(b, power, out=np.zeros(b.shape), where=~(b <= 0.0))
     return np.power(np.clip(b, _POS_FLOOR, None), power)
@@ -443,14 +445,6 @@ def solve(problem: MaxEntProblem) -> MaxEntSolution:
     )
 
 
-def _escort_power(alpha: float, lam3: float, x_delta: np.ndarray,
-                  power: float) -> np.ndarray:
-    # (1 + lam3 x**delta)**power.  Here f^alpha is the weight itself, not a
-    # derivative, so past a support edge it is 0 only at a positive power:
-    # f^0 is 1 and a negative power keeps the floored bracket.
-    return _clipped_power(1.0 + lam3 * x_delta, power, alpha < 1.0 and power > 0.0)
-
-
 def _escort_mean(alpha: float, lam3: float, delta: float, lower: float,
                  upper: float) -> float:
     # numerator and denominator in one two-row pass over shared nodes
@@ -458,7 +452,7 @@ def _escort_mean(alpha: float, lam3: float, delta: float, lower: float,
 
     def rows(x: np.ndarray) -> np.ndarray:
         x_delta = np.power(np.asarray(x, dtype=float), delta)
-        weight = _escort_power(alpha, lam3, x_delta, power)
+        weight = _clipped_power(1.0 + lam3 * x_delta, power, alpha < 1.0)
         return np.array((x_delta * weight, weight))
 
     num, den = _integrate(rows, lower, upper)
@@ -506,8 +500,8 @@ def solve_escort(problem: MaxEntProblem, delta: float = 1.0, *,
         lam3 = float(lambda3)
 
     def shape(x: np.ndarray) -> np.ndarray:
-        return _escort_power(alpha, lam3, np.power(np.asarray(x, dtype=float), delta),
-                             1.0 / (1.0 - alpha))
+        x_delta = np.power(np.asarray(x, dtype=float), delta)
+        return _clipped_power(1.0 + lam3 * x_delta, 1.0 / (1.0 - alpha), alpha < 1.0)
 
     mass = _integrate(shape, lower, upper)
     if mass <= 0.0 or not math.isfinite(mass):

@@ -112,12 +112,13 @@ class QuadratureSpec:
 
 
 class _Evaluator:
-    """Calls the integrand on node batches and returns its values, one per
-    node or one row of them per integral: vectorized when the callable
-    accepts arrays, a scalar loop otherwise.  The first batch decides, and
-    records whether the integrand is vector-valued.  The package's own
-    errors are answers, not a sign of a scalar-only callable, so they
-    propagate from the first batch at once."""
+    """Calls a user callable, where it enters, on node batches: the values
+    come back as floats, one per node or one row per integral, from one
+    call when the callable accepts arrays and from a scalar loop otherwise,
+    so what is built on a scalar-only callable stays batched.  The first
+    batch decides, and records whether the callable is vector-valued.  The
+    package's own errors are answers, not a sign of a scalar-only callable,
+    so they propagate from the first batch at once."""
 
     def __init__(self, f: Callable):
         self._f = f
@@ -160,12 +161,10 @@ def _fold_infinite(f: Callable, lower: float, upper: float):
     # than the float spacing there; they get a finite stand-in and weight 0
     if lo_inf and hi_inf:
         def g(t, _f=f):
-            t = np.asarray(t, dtype=float)
             u = 1.0 - t * t
             inside = u > 0.0
             u = np.where(inside, u, 1.0)
-            return np.where(inside, np.asarray(_f(t / u), dtype=float)
-                            * ((1.0 + t * t) / (u * u)), 0.0)
+            return np.where(inside, _f(t / u) * ((1.0 + t * t) / (u * u)), 0.0)
         return g, -1.0, 1.0
 
     if hi_inf:
@@ -174,16 +173,14 @@ def _fold_infinite(f: Callable, lower: float, upper: float):
         a, sign = float(upper), -1.0
 
     def g(t, _f=f, _a=a, _sign=sign):
-        t = np.asarray(t, dtype=float)
         u = 1.0 - t
         inside = u > 0.0
         u = np.where(inside, u, 1.0)
-        return np.where(inside, np.asarray(_f(_a + _sign * (t / u)), dtype=float)
-                        / (u * u), 0.0)
+        return np.where(inside, _f(_a + _sign * (t / u)) / (u * u), 0.0)
     return g, 0.0, 1.0
 
 
-def _panels(evaluate: _Evaluator, panels: np.ndarray) -> np.ndarray:
+def _panels(evaluate: Callable, panels: np.ndarray) -> np.ndarray:
     """Rule the panels with centers panels[0] and half-widths panels[1].
 
     Returns the panel state: those two rows, then the Kronrod value of every
@@ -220,6 +217,7 @@ def integrate(f: Callable, spec: QuadratureSpec) -> float | np.ndarray:
     f maps an array of n nodes to n values, or to shape (m, n) for m
     integrals over the same interval, which then share the panels and
     return as an array of m values; a scalar integrand returns a float.
+    A scalar-only f is called once per node of each batch.
     Every row meets its own max(abs_tol, rel_tol * |integral|).  Each sweep
     bisects every panel whose error, as a share of its row's tolerance, is
     above 1/panels in some row, which is always at least one panel until
@@ -230,14 +228,14 @@ def integrate(f: Callable, spec: QuadratureSpec) -> float | np.ndarray:
     endpoint), and NonFinite when a row of the integrand returns NaN or an
     infinity at a node.
     """
-    g, a, b = _fold_infinite(f, spec.lower, spec.upper)
-    evaluate = _Evaluator(g)
+    evaluate = _Evaluator(f)
+    g, a, b = _fold_infinite(evaluate, spec.lower, spec.upper)
     # only a half-width up to this spacing can have reached the float spacing
     narrow = math.ulp(max(abs(a), abs(b)))
 
     panels = (b - a) * _HEAD_PANELS
     panels[0] += a
-    state = _panels(evaluate, panels)
+    state = _panels(g, panels)
     rows = (state.shape[0] - 2) // 2
     used = 0
     while True:
@@ -269,7 +267,7 @@ def integrate(f: Callable, spec: QuadratureSpec) -> float | np.ndarray:
                 raise NonConvergence(
                     f"panel at x={float(child[0, np.argmax(flat)])!r} narrowed "
                     f"to the float spacing after {used} subdivisions")
-        state = np.concatenate((state[:, ~split], _panels(evaluate, child)), axis=1)
+        state = np.concatenate((state[:, ~split], _panels(g, child)), axis=1)
 
     totals = [math.fsum(row) for row in state[2:2 + rows].tolist()]
     return np.array(totals) if evaluate.vector else totals[0]

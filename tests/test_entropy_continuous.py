@@ -141,13 +141,49 @@ def test_composition_with_scalar_valued_pdf():
 def test_composition_with_scalar_valued_inner_pdf(g):
     # g is the joint side's inner density.  f = (1 + x)^-2 is positive at all
     # 120 head nodes, so the first inner batch has as many rows as nodes: a
-    # single float of g, not broadcast to the nodes, would pass for one row
-    # of 120 values (f^1.5 is a polynomial in the folded variable, so that
-    # row converges at once, to a wrong value).
+    # single float of g, not adapted to one value per node, would pass for
+    # one row of 120 values (f^1.5 is a polynomial in the folded variable,
+    # so that row converges at once, to a wrong value).
     f = DensitySpec(lambda x: (1.0 + np.asarray(x, dtype=float)) ** -2, 0.0, math.inf)
     for family, alpha in ((SHANNON, 1.0), (TSALLIS, 1.5)):
         res = composition_residual_continuous(f, g, family, AlphaOrder(alpha))
         assert abs(res) < 1e-6
+
+
+@pytest.mark.parametrize("pdf", [lambda x: np.exp(-np.asarray(x, dtype=float)),
+                                 lambda x: math.exp(-x),
+                                 lambda x: 0.5],
+                         ids=["vectorized", "scalar_only", "constant"])
+def test_values_gives_one_float_per_node(pdf):
+    x = np.linspace(0.0, 2.0, 7)
+    v = _values(DensitySpec(pdf, 0.0, math.inf), x)
+    assert v.dtype == float and v.shape == x.shape
+    assert v.tolist() == pytest.approx([pdf(float(t)) for t in x], rel=1e-15)
+
+
+@pytest.mark.parametrize("family,alpha", [(SHANNON, 1.0), (TSALLIS, 1.5)])
+def test_scalar_only_outer_pdf_keeps_the_composition_batched(family, alpha, monkeypatch):
+    # A pdf that rejects arrays is looped over each node batch inside
+    # _values, so the outer integrand stays vectorized and each outer sweep
+    # runs one inner integral, as for its vectorized twin (same values).
+    calls = []
+    real = entropy_continuous.integrate
+
+    def counting(integrand, spec):
+        calls.append(spec)
+        return real(integrand, spec)
+
+    monkeypatch.setattr(entropy_continuous, "integrate", counting)
+
+    def run(pdf):
+        calls.clear()
+        f = DensitySpec(pdf, 0.0, math.inf)
+        return composition_residual_continuous(f, GAUSS, family, AlphaOrder(alpha)), len(calls)
+
+    scalar, scalar_calls = run(lambda x: math.exp(-x))
+    twin, twin_calls = run(lambda x: np.array([math.exp(-v) for v in x]))
+    assert scalar_calls == twin_calls <= 8
+    assert scalar == twin and abs(scalar) < 1e-10
 
 
 # one pathway density in each alpha regime: compact support, alpha = 1, and
@@ -279,6 +315,9 @@ def test_nan_density_values_raise_non_finite(pdf):
             composition_residual_continuous(UNIT, f, family, AlphaOrder(alpha))
     with pytest.raises(NonFinite):
         kerridge_inaccuracy(InaccuracyInput(f, UNIT, AlphaOrder(1.5)))
+    # the assigned density goes through the same policy as the true one
+    with pytest.raises(NonFinite, match="density returned NaN"):
+        kerridge_inaccuracy(InaccuracyInput(UNIT, f, AlphaOrder(1.5)))
     with pytest.raises(NonFinite):
         m_alpha_expectation_residual(f, AlphaOrder(1.5))
 

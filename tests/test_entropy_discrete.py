@@ -122,6 +122,8 @@ def test_order_domains():
         validate_order(MATHAI_M, AlphaOrder(2.0))
     with pytest.raises(InvalidOrder):
         validate_order(SHANNON, AlphaOrder(1.5))
+    with pytest.raises(UnsupportedFamily, match="^bogus$"):
+        validate_order(EntropyFamily("bogus"), AlphaOrder(1.5))
     validate_order(MATHAI_M, AlphaOrder(-5.0))
     validate_order(HAVRDA_CHARVAT, AlphaOrder(3.0))
 

@@ -12,7 +12,13 @@ import pytest
 
 from pathway_entropy import maxent
 from pathway_entropy.entropy_discrete import AlphaOrder
-from pathway_entropy.errors import DomainError, Infeasible, InvalidOrder
+from pathway_entropy.errors import (
+    DomainError,
+    Infeasible,
+    InvalidOrder,
+    NonConvergence,
+    NonFinite,
+)
 from pathway_entropy.maxent import (
     MaxEntProblem,
     MaxEntSolution,
@@ -549,8 +555,9 @@ def test_plain_fit_at_order_zero_is_the_triangle():
                                         variant=MaxEntVariant.ESCORT),
                           lambda3=math.nan),
      DomainError, "lambda3 must be finite"),
-    # at order 0 the escort weight f^0 is 1 on the whole span, so no
-    # coefficient moves its mean off the midpoint
+    # at order 0 the escort weight f^0 is 1 wherever the bracket is
+    # positive: a positive coefficient leaves its mean at the midpoint, and
+    # a negative one cuts the support from above, which only lowers it
     (lambda: solve_escort(MaxEntProblem(np.linspace(0.0, 2.0, 41), AlphaOrder(0.0),
                                         (MomentConstraint(1.0, 1.3),),
                                         MaxEntVariant.ESCORT)),
@@ -560,9 +567,28 @@ def test_plain_fit_at_order_zero_is_the_triangle():
                                         variant=MaxEntVariant.ESCORT),
                           lambda3=-1.0),
      DomainError, "nonpositive"),
+    # below order 1 a frozen coefficient is not checked up front; here the
+    # bracket 1 - 10 x is negative on the whole span [1, 2]
+    (lambda: solve_escort(MaxEntProblem(np.linspace(1.0, 2.0, 11), AlphaOrder(0.5),
+                                        variant=MaxEntVariant.ESCORT),
+                          lambda3=-10.0),
+     Infeasible, "escort family carries no normalizable mass on the span"),
+    (lambda: maxent._escort_mean(0.5, -10.0, 1.0, 1.0, 2.0),
+     NonFinite, "escort weight carried no mass on the span"),
+    # above order 1, bracket positivity is checked before any integral
+    (lambda: maxent._newton(MaxEntProblem(np.linspace(0.0, 1.0, 11), AlphaOrder(1.5)),
+                            np.array([-1.0])),
+     NonFinite, "stationary-family bracket lost positivity on the span"),
+    # two moments above order 1 that the positive-bracket family cannot
+    # reach: every halved step is rejected down to 2^-14
+    (lambda: solve(MaxEntProblem(np.linspace(0.0, 1.0, 101), AlphaOrder(1.5),
+                                 (MomentConstraint(0.5, 0.48),
+                                  MomentConstraint(0.25, 0.6)))),
+     NonConvergence, "multiplier line search stalled"),
 ], ids=["grid_nan", "constraint_type", "variant_type", "solution_nan",
         "objective_shape", "lambda3_nan", "escort_order_zero",
-        "frozen_lambda3_below_order_zero"])
+        "frozen_lambda3_below_order_zero", "frozen_lambda3_without_mass",
+        "escort_mean_without_mass", "bracket_not_positive", "line_search_stalled"])
 def test_typed_errors(build, error, match):
     with pytest.raises(error, match=match):
         build()
@@ -584,3 +610,59 @@ def test_roundtrip_demo_exits_nonzero_above_its_gap_limit(monkeypatch, capsys):
     monkeypatch.setattr(demo, "density", lambda params, x: exact(params, x) * (1.0 + 1e-4))
     assert demo.main() == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_overflowing_constraint_integral_is_non_finite():
+    # a start whose density is about 5e307 on the span: every node value is
+    # finite, but the mass integral overflows to inf
+    problem = MaxEntProblem(np.linspace(0.0, 1.0, 11), AlphaOrder(0.5))
+    with np.errstate(over="ignore"), pytest.raises(
+            NonFinite, match="constraint integral did not come out finite"):
+        maxent._newton(problem, np.array([1.5 * math.sqrt(5e307)]))
+
+
+def test_line_search_rejects_candidates_that_lose_positivity(monkeypatch):
+    # above order 1 a full Newton step can drive the bracket nonpositive on
+    # the span; the candidate is rejected and a shorter step is tried
+    problem = MaxEntProblem(np.linspace(0.0, 1.0, 101), AlphaOrder(1.5),
+                            (MomentConstraint(1.0, 0.9),))
+    probe_size = 2 * problem.grid.size - 1
+    rejected = []
+    real = maxent._bracket
+
+    def recording(lam, exponents, x):
+        out = real(lam, exponents, x)
+        if np.size(x) == probe_size and np.min(out) <= 0.0:
+            rejected.append(lam)
+        return out
+
+    monkeypatch.setattr(maxent, "_bracket", recording)
+    sol = solve(problem)
+    assert rejected
+    density = stationary_density(problem.order, sol.multipliers, problem.exponents)
+    mean = maxent._integrate(lambda x: x * density(x), *problem.span)
+    assert abs(mean - 0.9) <= 1e-10
+
+
+def test_newton_budget_ends(monkeypatch):
+    monkeypatch.setattr(maxent, "_MAX_NEWTON", 1)
+    # at order 0 the family (lam_1 + lam_2 x) / 2 is linear in the
+    # multipliers: the one step allowed lands on the solution, which the
+    # check after the loop returns
+    linear = MaxEntProblem(np.linspace(0.0, 1.0, 11), AlphaOrder(0.0),
+                           (MomentConstraint(1.0, 0.55),))
+    lam = maxent._newton(linear, np.array([2.0, 0.0]))
+    assert lam == pytest.approx([1.4, 1.2], abs=1e-12)
+    with pytest.raises(NonConvergence, match="multiplier iteration exhausted its budget"):
+        solve(MaxEntProblem(np.linspace(0.0, 1.0, 11), AlphaOrder(0.5),
+                            (MomentConstraint(1.0, 0.3),)))
+
+
+@pytest.mark.parametrize("lam3", [0.0, 2.0 ** -20], ids=["start", "first_rung"])
+def test_escort_target_met_exactly_on_the_ladder(lam3):
+    # a target equal to the escort mean at the start coefficient 0, or at
+    # the ladder's first rung 2^-20, is returned without a root search
+    target = maxent._escort_mean(0.5, lam3, 1.0, 0.0, 2.0)
+    problem = MaxEntProblem(np.linspace(0.0, 2.0, 21), AlphaOrder(0.5),
+                            (MomentConstraint(1.0, target),), MaxEntVariant.ESCORT)
+    assert solve_escort(problem).multipliers[1] == lam3

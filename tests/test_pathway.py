@@ -261,6 +261,8 @@ def test_special_case_mappings():
     qexp = special_case("tsallis_q_exponential", alpha=1.5)
     assert qexp == QEXP
     assert special_case("type1_beta", alpha=0.5) == HAND
+    assert special_case("type2_beta", s=0.5) == PathwayParams(alpha=1.5, gamma=1.0,
+                                                              delta=1.0, s=0.5)
     assert special_case("stretched_exponential") == EXPO
     mb = special_case("maxwell_boltzmann")
     assert (mb.gamma, mb.delta, mb.alpha) == (3.0, 2.0, 1.0)

@@ -31,12 +31,14 @@ def test_matches_cubic_brute_force():
 def test_small_primes_empty():
     for n in (2, 3, 5, 7):
         assert independent_event_triples(n).triples == ()
+        assert len(independent_event_triples(n)) == 0
         assert not has_independent_events(n)
 
 
 def test_four_and_six():
     assert (2, 2, 1) in independent_event_triples(4).triples
     assert independent_event_triples(4).triples == ((2, 2, 1),)
+    assert len(independent_event_triples(4)) == 1
     six = independent_event_triples(6).triples
     assert (2, 3, 1) in six and (3, 2, 1) in six
     assert has_independent_events(6)

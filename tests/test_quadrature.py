@@ -210,6 +210,7 @@ def test_find_root_no_sign_change():
 
 def test_find_root_endpoint_zero():
     assert find_root(lambda x: x - 1.0, (1.0, 2.0), 1e-12) == 1.0
+    assert find_root(lambda x: x - 2.0, (1.0, 2.0), 1e-12) == 2.0
 
 
 def test_find_root_nan_mid_iteration_is_non_finite():
