@@ -181,13 +181,10 @@ def _pathway_params(args: argparse.Namespace) -> PathwayParams:
             raise UsageError(f"--{key.replace('_', '-')} applies only with --special")
     if args.alpha is None:
         raise UsageError("either --special or --alpha is required")
-    return PathwayParams(
-        alpha=args.alpha,
-        gamma=args.gamma if args.gamma is not None else 1.0,
-        delta=args.delta if args.delta is not None else 1.0,
-        s=args.s if args.s is not None else 1.0,
-        beta_exp=args.beta if args.beta is not None else 1.0,
-    )
+    given = {"alpha": args.alpha, "gamma": args.gamma, "delta": args.delta,
+             "s": args.s, "beta_exp": args.beta}
+    return PathwayParams(**{key: value for key, value in given.items()
+                            if value is not None})
 
 
 def _default_seed(explicit: int | None) -> int:

@@ -167,6 +167,8 @@ MATHAI_M_STAR = EntropyFamily(FamilyTag.MATHAI_M_STAR)
 
 #: The five order-alpha families (Shannon excluded: it has no free order).
 ALPHA_FAMILIES = (RENYI, HAVRDA_CHARVAT, TSALLIS, MATHAI_M, MATHAI_M_STAR)
+# Families whose composition law has no cross term.
+_ADDITIVE = (FamilyTag.SHANNON, FamilyTag.RENYI, FamilyTag.MATHAI_M_STAR)
 
 
 @dataclass(frozen=True)
@@ -277,17 +279,20 @@ def entropy_from_power_sum(family: EntropyFamily, order: AlphaOrder,
                            "alpha != 1; alpha = 1 is the Shannon limit")
     if not power_sum > 0:
         raise DomainError(f"power statistic must be positive, got {power_sum!r}")
-    a = order.alpha
-    tag = family.tag
-    if tag is FamilyTag.RENYI:
-        return math.log(power_sum) / (1.0 - a)
+    divisor = _divisor(family.tag, order.alpha)
+    if family.tag in _ADDITIVE:
+        return math.log(power_sum) / divisor
+    return (power_sum - 1.0) / divisor
+
+
+def _divisor(tag: FamilyTag, a: float) -> float:
+    # d(alpha) of the value ln(S)/d (additive families) or (S - 1)/d (the
+    # rest); by S_PQ = S_P S_Q the latter's cross term is d F_P F_Q
     if tag is FamilyTag.HAVRDA_CHARVAT:
-        return (power_sum - 1.0) / (2.0 ** (1.0 - a) - 1.0)
-    if tag is FamilyTag.TSALLIS:
-        return (power_sum - 1.0) / (1.0 - a)
-    if tag is FamilyTag.MATHAI_M:
-        return (power_sum - 1.0) / (a - 1.0)
-    return math.log(power_sum) / (a - 1.0)  # MATHAI_M_STAR
+        return 2.0 ** (1.0 - a) - 1.0
+    if tag in (FamilyTag.RENYI, FamilyTag.TSALLIS):
+        return 1.0 - a
+    return a - 1.0  # the mathai forms
 
 
 def _from_statistic(family: EntropyFamily, order: AlphaOrder,
@@ -318,15 +323,9 @@ def composition_coefficient(family: EntropyFamily, order: AlphaOrder) -> float:
 
     Zero for the additive families (shannon, renyi, mathai_m_star)."""
     validate_order(family, order)
-    a = order.alpha
-    tag = family.tag
-    if tag in (FamilyTag.SHANNON, FamilyTag.RENYI, FamilyTag.MATHAI_M_STAR):
+    if family.tag in _ADDITIVE:
         return 0.0
-    if tag is FamilyTag.HAVRDA_CHARVAT:
-        return 2.0 ** (1.0 - a) - 1.0
-    if tag is FamilyTag.TSALLIS:
-        return 1.0 - a
-    return a - 1.0  # MATHAI_M
+    return _divisor(family.tag, order.alpha)
 
 
 def _merged_policy(p: DiscreteDistribution, q: DiscreteDistribution) -> ZeroPolicy:
@@ -381,16 +380,12 @@ def recursivity_weight(family: EntropyFamily, order: AlphaOrder, x: float) -> fl
     validate_order(family, order)
     if not (0.0 <= x < 1.0):
         raise DomainError(f"recursivity weight needs 0 <= x < 1, got {x}")
-    tag = family.tag
-    a = order.alpha
-    if tag is FamilyTag.SHANNON:
+    if family.tag is FamilyTag.SHANNON:
         return 1.0 - x
-    if tag in (FamilyTag.HAVRDA_CHARVAT, FamilyTag.TSALLIS):
-        return (1.0 - x) ** a
-    if tag is FamilyTag.MATHAI_M:
-        return (1.0 - x) ** (2.0 - a)
-    raise UnsupportedFamily(
-        f"{tag.value} is additive and has no recursivity weight")
+    if family.tag in _ADDITIVE:
+        raise UnsupportedFamily(
+            f"{family.tag.value} is additive and has no recursivity weight")
+    return (1.0 - x) ** power_exponent(family, order)
 
 
 def _two_point(family: EntropyFamily, order: AlphaOrder, x: float) -> float:

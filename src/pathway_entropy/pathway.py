@@ -34,6 +34,9 @@ raise NotNormalizable instead of silently returning an unnormalized kernel.
 
 Kernel evaluation runs in log space (log1p for the bracket) so that large
 delta or extreme x never produce inf * 0 intermediates.
+
+The named special cases (`special_case`) are fixed points of the family,
+listed in one table with their free arguments, defaults and requirements.
 """
 from __future__ import annotations
 
@@ -94,8 +97,7 @@ class SupportInterval:
 def support(params: PathwayParams) -> SupportInterval:
     """[0, (s(1-alpha))^(-1/delta)] below alpha = 1, [0, inf) at and above."""
     if params.alpha < 1.0:
-        edge = (params.s * (1.0 - params.alpha)) ** (-1.0 / params.delta)
-        return SupportInterval(0.0, edge)
+        return SupportInterval(0.0, _substitution(params)[2] ** (-1.0 / params.delta))
     return SupportInterval(0.0, math.inf)
 
 
@@ -103,12 +105,10 @@ def is_normalizable(params: PathwayParams) -> bool:
     """Kernel integrability over the support.
 
     Automatic for alpha <= 1; for alpha > 1 the power tail must decay faster
-    than x^-1, i.e. beta/(alpha-1) - gamma/delta > 0.
+    than x^-1, i.e. the beta-prime shape q = beta/(alpha-1) - gamma/delta of
+    `_substitution` is positive.
     """
-    if params.alpha <= 1.0:
-        return True
-    tail = params.beta_exp / (params.alpha - 1.0) - params.gamma / params.delta
-    return tail > 0.0
+    return params.alpha <= 1.0 or _substitution(params)[1] > 0.0
 
 
 def _require_normalizable(params: PathwayParams) -> None:
@@ -222,9 +222,7 @@ def kernel_derivative(params: PathwayParams, x):
 
 def density(params: PathwayParams, x):
     """Normalized density c * g(x); 0 outside the support."""
-    c = normalizing_constant(params)
-    value = kernel(params, x)
-    return c * value
+    return normalizing_constant(params) * kernel(params, x)
 
 
 @functools.cache
@@ -311,16 +309,26 @@ def sample(params: PathwayParams, n: int, seed: int) -> np.ndarray:
     return _x_of_t(params, scale, t)
 
 
-SPECIAL_CASE_NAMES = (
-    "tsallis_q_exponential",
-    "type1_beta",
-    "type2_beta",
-    "stretched_exponential",
-    "maxwell_boltzmann",
-    "gaussian_half",
-    "weibull",
-    "wigner",
-)
+# Each named point: its free arguments with their defaults, the builder of
+# its PathwayParams(alpha, gamma, delta, s) from them, then requirements
+# (test on the arguments, message that may quote them) checked in order.
+_SPECIAL_CASES = {
+    "tsallis_q_exponential": ({"alpha": 1.5}, PathwayParams),
+    "type1_beta": ({"alpha": 0.5, "gamma": 1.0, "delta": 1.0, "s": 1.0}, PathwayParams,
+                   (lambda a: a["alpha"] < 1.0, "requires alpha < 1")),
+    "type2_beta": ({"alpha": 1.5, "gamma": 1.0, "delta": 1.0, "s": 1.0}, PathwayParams,
+                   (lambda a: a["alpha"] > 1.0, "requires alpha > 1")),
+    "stretched_exponential": ({"delta": 1.0, "s": 1.0}, functools.partial(PathwayParams, 1.0)),
+    "maxwell_boltzmann": ({"s": 1.0}, lambda s: PathwayParams(1.0, 3.0, 2.0, s)),
+    "gaussian_half": ({"s": 1.0}, lambda s: PathwayParams(1.0, 1.0, 2.0, s)),
+    "weibull": ({"shape": 2.0, "s": 1.0}, lambda shape, s: PathwayParams(1.0, shape, shape, s),
+                (lambda a: a["shape"] > 0, "requires shape > 0")),
+    "wigner": ({"q": 2.0, "beta_scale": 1.0},
+               lambda q, beta_scale: PathwayParams(q, 1.0, 2.0, beta_scale),
+               (lambda a: 1.0 < a["q"] < 3.0, "requires 1 < q < 3, got {q}"),
+               (lambda a: a["beta_scale"] > 0, "requires beta_scale > 0")),
+}
+SPECIAL_CASE_NAMES = tuple(_SPECIAL_CASES)
 
 
 def special_case(name: str, **kwargs) -> PathwayParams:
@@ -336,52 +344,18 @@ def special_case(name: str, **kwargs) -> PathwayParams:
     wigner(q, beta_scale)                   [1 + beta_scale (q-1) x^2]^(-1/(q-1)),
                                             1 < q < 3 (the scale rides the s slot)
     """
-    def take(allowed: dict) -> dict:
-        extra = set(kwargs) - set(allowed)
-        if extra:
-            raise DomainError(f"{name} got unexpected arguments {sorted(extra)}")
-        merged = dict(allowed)
-        merged.update(kwargs)
-        return merged
-
-    if name == "tsallis_q_exponential":
-        got = take({"alpha": 1.5})
-        return PathwayParams(alpha=got["alpha"], gamma=1.0, delta=1.0, s=1.0)
-    if name == "type1_beta":
-        got = take({"alpha": 0.5, "gamma": 1.0, "delta": 1.0, "s": 1.0})
-        if not got["alpha"] < 1.0:
-            raise DomainError("type1_beta requires alpha < 1")
-        return PathwayParams(**got)
-    if name == "type2_beta":
-        got = take({"alpha": 1.5, "gamma": 1.0, "delta": 1.0, "s": 1.0})
-        if not got["alpha"] > 1.0:
-            raise DomainError("type2_beta requires alpha > 1")
-        return PathwayParams(**got)
-    if name == "stretched_exponential":
-        got = take({"delta": 1.0, "s": 1.0})
-        return PathwayParams(alpha=1.0, gamma=1.0, **got)
-    if name == "maxwell_boltzmann":
-        got = take({"s": 1.0})
-        return PathwayParams(alpha=1.0, gamma=3.0, delta=2.0, s=got["s"])
-    if name == "gaussian_half":
-        got = take({"s": 1.0})
-        return PathwayParams(alpha=1.0, gamma=1.0, delta=2.0, s=got["s"])
-    if name == "weibull":
-        got = take({"shape": 2.0, "s": 1.0})
-        if not got["shape"] > 0:
-            raise DomainError("weibull requires shape > 0")
-        return PathwayParams(alpha=1.0, gamma=got["shape"], delta=got["shape"],
-                             s=got["s"])
-    if name == "wigner":
-        got = take({"q": 2.0, "beta_scale": 1.0})
-        if not 1.0 < got["q"] < 3.0:
-            raise DomainError(f"wigner requires 1 < q < 3, got {got['q']}")
-        if not got["beta_scale"] > 0:
-            raise DomainError("wigner requires beta_scale > 0")
-        return PathwayParams(alpha=got["q"], gamma=1.0, delta=2.0,
-                             s=got["beta_scale"])
-    raise UnknownName(f"unknown special case {name!r}; "
-                      f"known: {', '.join(SPECIAL_CASE_NAMES)}")
+    if name not in SPECIAL_CASE_NAMES:
+        raise UnknownName(f"unknown special case {name!r}; "
+                          f"known: {', '.join(SPECIAL_CASE_NAMES)}")
+    defaults, build, *requirements = _SPECIAL_CASES[name]
+    extra = set(kwargs) - set(defaults)
+    if extra:
+        raise DomainError(f"{name} got unexpected arguments {sorted(extra)}")
+    got = {**defaults, **kwargs}
+    for holds, message in requirements:
+        if not holds(got):
+            raise DomainError(f"{name} {message.format(**got)}")
+    return build(**got)
 
 
 def as_density_spec(params: PathwayParams) -> DensitySpec:
@@ -390,6 +364,6 @@ def as_density_spec(params: PathwayParams) -> DensitySpec:
     interval = support(params)
 
     def pdf(x):
-        return c * np.exp(log_kernel(params, np.asarray(x, dtype=float)))
+        return c * kernel(params, x)
 
     return DensitySpec(pdf, interval.lower, interval.upper)

@@ -15,7 +15,8 @@ panel whose error is above its share (1/panels) of its row's tolerance.
 Endpoint power singularities x**p with p > -1 are resolved by refinement
 (panel nodes are strictly interior, so the integrand is never evaluated at
 the endpoints); a panel refined down to the float spacing, where its nodes
-collapse, raises NonConvergence.
+collapse, raises NonConvergence.  A non-finite node value, or an integral
+that overflows the float range from finite ones, raises NonFinite.
 """
 from __future__ import annotations
 
@@ -194,20 +195,22 @@ def _panels(evaluate: Callable, panels: np.ndarray) -> np.ndarray:
         row, panel, node = np.argwhere(~np.isfinite(fv))[0]
         raise NonFinite(f"integrand returned a non-finite value near "
                         f"x={float(nodes[panel, node])!r} in row {row}")
-    sums = fv @ _RULES
     rows = fv.shape[0]
     state = np.empty((2 + 2 * rows, half.size))
     state[:2] = panels
-    np.multiply(half, sums[..., 0], out=state[2:2 + rows])
-    # QUADPACK's estimate.  The Kronrod-Gauss difference never exceeds
-    # resasc much, so the ratio below stays in [0, 1], and it is 0 where the
-    # values are constant.
-    resasc = np.abs(sums[..., 2:]) @ _W_KRONROD
-    ratio = np.minimum(np.abs(sums[..., 1]), resasc)
-    ratio /= resasc + _TINY
-    ratio **= 1.5
-    ratio *= resasc
-    np.multiply(half, ratio, out=state[2 + rows:])
+    # finite values may overflow here; `integrate` raises on the totals
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = fv @ _RULES
+        np.multiply(half, sums[..., 0], out=state[2:2 + rows])
+        # QUADPACK's estimate.  The Kronrod-Gauss difference never exceeds
+        # resasc much, so the ratio below stays in [0, 1], and it is 0 where
+        # the values are constant.
+        resasc = np.abs(sums[..., 2:]) @ _W_KRONROD
+        ratio = np.minimum(np.abs(sums[..., 1]), resasc)
+        ratio /= resasc + _TINY
+        ratio **= 1.5
+        ratio *= resasc
+        np.multiply(half, ratio, out=state[2 + rows:])
     return state
 
 
@@ -226,7 +229,7 @@ def integrate(f: Callable, spec: QuadratureSpec) -> float | np.ndarray:
     Raises NonConvergence when max_subdivisions bisections are not enough or
     a panel has narrowed to the float spacing (its midpoint rounds to an
     endpoint), and NonFinite when a row of the integrand returns NaN or an
-    infinity at a node.
+    infinity at a node or its integral overflows the float range.
     """
     evaluate = _Evaluator(f)
     g, a, b = _fold_infinite(evaluate, spec.lower, spec.upper)
@@ -239,7 +242,10 @@ def integrate(f: Callable, spec: QuadratureSpec) -> float | np.ndarray:
     rows = (state.shape[0] - 2) // 2
     used = 0
     while True:
-        sums = state[2:].sum(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = state[2:].sum(axis=1)
+        if not np.isfinite(sums).all():
+            raise NonFinite("an integral overflows the float range")
         tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(sums[:rows]))
         if (sums[rows:] <= tol).all():
             break
@@ -269,7 +275,10 @@ def integrate(f: Callable, spec: QuadratureSpec) -> float | np.ndarray:
                     f"to the float spacing after {used} subdivisions")
         state = np.concatenate((state[:, ~split], _panels(g, child)), axis=1)
 
-    totals = [math.fsum(row) for row in state[2:2 + rows].tolist()]
+    try:
+        totals = [math.fsum(row) for row in state[2:2 + rows].tolist()]
+    except OverflowError:  # fsum's running sum overflowed where numpy's did not
+        raise NonFinite("a partial sum overflows the float range") from None
     return np.array(totals) if evaluate.vector else totals[0]
 
 

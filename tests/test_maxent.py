@@ -614,10 +614,10 @@ def test_roundtrip_demo_exits_nonzero_above_its_gap_limit(monkeypatch, capsys):
 
 def test_overflowing_constraint_integral_is_non_finite():
     # a start whose density is about 5e307 on the span: every node value is
-    # finite, but the mass integral overflows to inf
+    # finite, but the mass integral overflows, which the integrator raises
     problem = MaxEntProblem(np.linspace(0.0, 1.0, 11), AlphaOrder(0.5))
     with np.errstate(over="ignore"), pytest.raises(
-            NonFinite, match="constraint integral did not come out finite"):
+            NonFinite, match="overflows the float range"):
         maxent._newton(problem, np.array([1.5 * math.sqrt(5e307)]))
 
 
@@ -666,3 +666,28 @@ def test_escort_target_met_exactly_on_the_ladder(lam3):
     problem = MaxEntProblem(np.linspace(0.0, 2.0, 21), AlphaOrder(0.5),
                             (MomentConstraint(1.0, target),), MaxEntVariant.ESCORT)
     assert solve_escort(problem).multipliers[1] == lam3
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.01, 0.1, 0.5])
+def test_escort_mean_below_order_one_matches_the_closed_form(alpha):
+    # lam3 = -1/z: the weight (1 - x/z)^p, p = alpha/(1 - alpha), on [0, z]
+    # makes x/z a Beta(1, p + 1) variate, whose mean is 1/(p + 2); the
+    # integrals end at the edge z, so even the step at order 0 is exact
+    p = alpha / (1.0 - alpha)
+    for z in np.linspace(0.05, 2.0, 40):
+        mean = maxent._escort_mean(alpha, -1.0 / z, 1.0, 0.0, 2.0)
+        assert abs(mean / (z / (p + 2.0)) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.7])
+def test_escort_fit_below_order_one_recovers_the_edge(alpha):
+    # the fitted lam3 is -1/z for the closed-form mean above; at order 0, z =
+    # 1.4 is the mean 0.7 below the span's uniform mean 1, which a negative
+    # lam3 reaches by cutting the support from above
+    p = alpha / (1.0 - alpha)
+    for z in (0.3, 0.9, 1.4, 1.9):
+        problem = MaxEntProblem(np.linspace(0.0, 2.0, 41), AlphaOrder(alpha),
+                                (MomentConstraint(1.0, z / (p + 2.0)),),
+                                MaxEntVariant.ESCORT)
+        lam3 = solve_escort(problem).multipliers[1]
+        assert abs(lam3 * z + 1.0) <= 1e-12

@@ -9,6 +9,7 @@ from scipy import stats
 
 from pathway_entropy.errors import DomainError, NotNormalizable, UnknownName
 from pathway_entropy.pathway import (
+    SPECIAL_CASE_NAMES,
     PathwayParams,
     as_density_spec,
     cdf,
@@ -288,6 +289,9 @@ def test_special_case_validation():
         special_case("type2_beta", alpha=0.8)
     with pytest.raises(DomainError):
         special_case("weibull", rate=2.0)
+    for name in SPECIAL_CASE_NAMES:
+        with pytest.raises(DomainError, match=f"{name} got unexpected arguments"):
+            special_case(name, beta_exp=2.0)
 
 
 def test_as_density_spec_unit_mass():

@@ -113,6 +113,27 @@ def test_non_finite_value_in_any_row_names_the_node():
     assert 0.5 < node < 1.0
 
 
+# Every node value is finite, but the integral is not: a panel's rule sum
+# overflows (panel_sum, and split_sign and oscillating, whose error estimates
+# come out NaN), or the panels' total does (panel_total).  In partial_sum,
+# head panels of width 2 worth 0.75e308, 0.75e308, 1e308 and -1e308 have a
+# finite pairwise total in numpy, but fsum's running sum overflows.
+_PARTIAL = np.array([0.375e308, 0.375e308, 0.5e308, -0.5e308, 0.0, 0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("f,upper,match", [
+    (lambda x: np.full(x.shape, 1.5e308), 1.0, "an integral overflows"),
+    (lambda x: np.full(x.shape, 5e307), 8.0, "an integral overflows"),
+    (lambda x: np.where(x < 0.5, 1.7e308, -1.7e308), 1.0, "an integral overflows"),
+    (lambda x: 1.7e308 * np.sin(50.0 * x), 1.0, "an integral overflows"),
+    (lambda x: _PARTIAL[np.minimum(x // 2.0, 7.0).astype(int)], 16.0,
+     "a partial sum overflows"),
+], ids=["panel_sum", "panel_total", "split_sign", "oscillating", "partial_sum"])
+def test_overflowing_integral_raises_non_finite(f, upper, match):
+    with pytest.raises(NonFinite, match=match):
+        integrate(f, QuadratureSpec(0.0, upper))
+
+
 def test_vector_determinism_bit_identical():
     spec = QuadratureSpec(0.0, 10.0)
     f = lambda x: np.array([np.sin(x) * np.exp(-0.3 * x), np.sqrt(x), x ** 3])
