@@ -26,9 +26,11 @@ weighted by a(alpha) and the triple product weighted by a(alpha)^2.  The
 probability total, the Shannon sum and the power sums are correctly rounded,
 the value math.fsum returns, so the residual operations stay at the
 1e-12 / 1e-10 level demanded of them.  `_sum` is math.fsum itself below
-2,048 entries; from 2,048 on it is a vectorized TwoSum fold whose rounding is
-certified against a bound on the fold's error, and math.fsum of the whole
-vector when the bound cannot settle the rounding or an entry is not finite.
+512 entries; from 512 on it splits every entry, by error-free extraction
+(Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31, 2008), into a part that
+numpy sums exactly and a residual whose float sum has a known error bound,
+and it is math.fsum of the whole vector when that bound cannot settle the
+rounding at a second, finer split, or an entry is not finite.
 """
 from __future__ import annotations
 
@@ -75,49 +77,61 @@ __all__ = [
 
 _SUM_SLACK = 1e-9
 
-_FSUM_BELOW = 2048
-_PARTIALS = 1024
+_FSUM_BELOW = 512
+_BLOCK = 1 << 15
 _EPS = float(np.finfo(float).eps)
+
+
+def _extract(values: np.ndarray, sigmas: list[float]) -> list[float]:
+    """Split each entry at every s_j of `sigmas` in turn, x = q_1 + ... + q_k
+    + r with q_j = (t + s_j) - s_j of what is left, t; return the exact sums
+    of the q_j, then the float sum of the r.  The vector is walked in blocks
+    that stay in cache."""
+    q = np.empty(min(values.size, _BLOCK))
+    r = np.empty_like(q)
+    totals = [0.0] * (len(sigmas) + 1)
+    for start in range(0, values.size, _BLOCK):
+        x = values[start:start + _BLOCK]
+        bq, br = q[:x.size], r[:x.size]
+        for j, sigma in enumerate(sigmas):
+            np.add(x, sigma, out=bq)
+            bq -= sigma
+            totals[j] += float(bq.sum())
+            x = np.subtract(x, bq, out=br)
+        totals[-1] += float(x.sum())
+    return totals
 
 
 def _sum(values: np.ndarray) -> float:
     """The correctly rounded sum of a 1-D float array, bit for bit what
     math.fsum(values.tolist()) returns, signs mixed or not.
 
-    From 2,048 entries on, TwoSum (Knuth, TAOCP vol. 2, 4.2.2; Ogita, Rump &
-    Oishi, SIAM J. Sci. Comput. 26, 2005) folds the upper part of the vector
-    onto the lower, as if it were padded with zeros to a power of two, until
-    1,024 exact partial sums remain; each fold's errors are summed in
-    numpy.  A floating sum of k terms is off by at most (k - 1) u sum|e|
-    (u = eps / 2), so k eps sum|e| bounds each error sum, and the two ends
-    of the interval that the bound leaves round alike unless the true sum
-    lies that close to a rounding tie.  Those sums fall back to
-    math.fsum of the whole vector, as do a zero sum (its sign is fsum's to
-    choose) and any input where n max|x| reaches 2^1000, so inf, NaN and
-    fsum's OverflowError stay as they were.
+    From 512 entries on, error-free extraction (Rump, Ogita & Oishi,
+    "Accurate floating-point summation part I", SIAM J. Sci. Comput. 31,
+    2008) splits each x at s = 2^(e + m), 2^e > max|x|, 2^m > n + 1, into
+    q = (x + s) - s and r = x - q, both exact.  The q are multiples of u s
+    (u = eps / 2) whose partial sums stay below s, so numpy sums them
+    exactly in any order; |r| <= u s, so the float sum of the r is within
+    (n eps)^2 s of theirs.  When the two ends of that interval round alike,
+    and not to zero (a zero's sign is fsum's to choose), that is the sum;
+    otherwise the r split once more, at s 2^(m - 52), and then math.fsum
+    sums the whole vector, as it does any vector whose max|x| lies outside
+    (2^-900, 2^1000 / n): inf, NaN and fsum's OverflowError stay as they
+    were.
     """
     n = values.size
-    if n < _FSUM_BELOW or not max(values.max(), -values.min()) < 2.0 ** 1000 / n:
-        return math.fsum(values.tolist())
-    s = values
-    errors, slack = [], 0.0
-    while s.size > _PARTIALS:
-        half = 1 << (s.size - 1).bit_length() - 1
-        a, b = s[:s.size - half], s[half:]
-        # TwoSum: t + e == a + b exactly
-        t = a + b
-        bb = t - a
-        e = t - bb
-        np.subtract(a, e, out=e)
-        np.subtract(b, bb, out=bb)
-        e += bb
-        errors.append(float(e.sum()))
-        slack += e.size * float(np.abs(e, out=e).sum())
-        s = t if t.size == half else np.concatenate((t, s[t.size:half]))
-    parts, bound = s.tolist() + errors, _EPS * slack
-    low = math.fsum(parts + [-bound])
-    if low != 0.0 and low == math.fsum(parts + [bound]):
-        return low
+    if n >= _FSUM_BELOW:
+        top = max(values.max(), -values.min())
+        if 2.0 ** -900 < top < 2.0 ** 1000 / n:
+            shift = (n + 1).bit_length()
+            sigmas = [math.ldexp(1.0, math.frexp(top)[1] + shift)]
+            for _ in range(2):
+                parts = _extract(values, sigmas)
+                bound = (n * _EPS) ** 2 * sigmas[-1]
+                low = math.fsum(parts + [-bound])
+                if low != 0.0 and low == math.fsum(parts + [bound]):
+                    return low
+                sigmas.append(sigmas[-1] * 2.0 ** (shift - 52))
     return math.fsum(values.tolist())
 
 
@@ -314,8 +328,21 @@ def entropy(dist: DiscreteDistribution, family: EntropyFamily,
     validate_order(family, order)
     p = dist.nonzero()
     return _from_statistic(family, order,
-                           lambda: -_sum(p * np.log(p)),
-                           lambda c: _sum(np.exp(c * np.log(p))))
+                           lambda: -_sum(_log_times(p, p)),
+                           lambda c: _sum(_powers(p, c)))
+
+
+def _log_times(p: np.ndarray, w: np.ndarray | float) -> np.ndarray:
+    """w ln p, formed in one new array."""
+    t = np.log(p)
+    t *= w
+    return t
+
+
+def _powers(p: np.ndarray, c: float) -> np.ndarray:
+    """The power terms p^c = exp(c ln p), formed in place in one array."""
+    t = _log_times(p, c)
+    return np.exp(t, out=t)
 
 
 def composition_coefficient(family: EntropyFamily, order: AlphaOrder) -> float:

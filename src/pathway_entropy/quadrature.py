@@ -181,36 +181,32 @@ def _fold_infinite(f: Callable, lower: float, upper: float):
     return g, 0.0, 1.0
 
 
-def _panels(evaluate: Callable, panels: np.ndarray) -> np.ndarray:
-    """Rule the panels with centers panels[0] and half-widths panels[1].
-
-    Returns the panel state: those two rows, then the Kronrod value of every
-    integrand row on every panel, then its scaled error estimate, shape
-    (2 + 2 rows, panels).
-    """
+def _rule(kept: np.ndarray | None, panels: np.ndarray, fv: np.ndarray) -> np.ndarray:
+    """The panel state: the columns of `kept`, then one column for each
+    panel with center panels[0], half-width panels[1] and node values fv.
+    A column holds the center and half-width, then the Kronrod value of
+    every integrand row on the panel, then its scaled error estimate, so
+    the shape is (2 + 2 rows, panels).  Finite values may overflow here;
+    the caller ignores that and raises on the totals."""
     half = panels[1]
-    nodes = panels[0][:, None] + half[:, None] * _NODES
-    fv = evaluate(nodes.ravel()).reshape(-1, *nodes.shape)
-    if not np.isfinite(fv).all():
-        row, panel, node = np.argwhere(~np.isfinite(fv))[0]
-        raise NonFinite(f"integrand returned a non-finite value near "
-                        f"x={float(nodes[panel, node])!r} in row {row}")
     rows = fv.shape[0]
-    state = np.empty((2 + 2 * rows, half.size))
-    state[:2] = panels
-    # finite values may overflow here; `integrate` raises on the totals
-    with np.errstate(over="ignore", invalid="ignore"):
-        sums = fv @ _RULES
-        np.multiply(half, sums[..., 0], out=state[2:2 + rows])
-        # QUADPACK's estimate.  The Kronrod-Gauss difference never exceeds
-        # resasc much, so the ratio below stays in [0, 1], and it is 0 where
-        # the values are constant.
-        resasc = np.abs(sums[..., 2:]) @ _W_KRONROD
-        ratio = np.minimum(np.abs(sums[..., 1]), resasc)
-        ratio /= resasc + _TINY
-        ratio **= 1.5
-        ratio *= resasc
-        np.multiply(half, ratio, out=state[2 + rows:])
+    if kept is None:
+        kept = np.empty((2 + 2 * rows, 0))
+    state = np.empty((2 + 2 * rows, kept.shape[1] + half.size))
+    state[:, :kept.shape[1]] = kept
+    new = state[:, kept.shape[1]:]
+    new[:2] = panels
+    sums = fv @ _RULES
+    np.multiply(half, sums[..., 0], out=new[2:2 + rows])
+    # QUADPACK's estimate.  The Kronrod-Gauss difference never exceeds
+    # resasc much, so the ratio below stays in [0, 1], and it is 0 where
+    # the values are constant.
+    resasc = np.abs(sums[..., 2:]) @ _W_KRONROD
+    ratio = np.minimum(np.abs(sums[..., 1]), resasc)
+    ratio /= resasc + _TINY
+    ratio **= 1.5
+    ratio *= resasc
+    np.multiply(half, ratio, out=new[2 + rows:])
     return state
 
 
@@ -238,11 +234,19 @@ def integrate(f: Callable, spec: QuadratureSpec) -> float | np.ndarray:
 
     panels = (b - a) * _HEAD_PANELS
     panels[0] += a
-    state = _panels(g, panels)
-    rows = (state.shape[0] - 2) // 2
+    state = None
     used = 0
     while True:
+        nodes = panels[0][:, None] + panels[1][:, None] * _NODES
+        fv = g(nodes.ravel()).reshape(-1, *nodes.shape)
+        if not np.isfinite(fv).all():
+            row, panel, node = np.argwhere(~np.isfinite(fv))[0]
+            raise NonFinite(f"integrand returned a non-finite value near "
+                            f"x={float(nodes[panel, node])!r} in row {row}")
+        rows = fv.shape[0]
+        # the integrand runs outside this: its own warnings stay as they are
         with np.errstate(over="ignore", invalid="ignore"):
+            state = _rule(state, panels, fv)
             sums = state[2:].sum(axis=1)
         if not np.isfinite(sums).all():
             raise NonFinite("an integral overflows the float range")
@@ -262,18 +266,18 @@ def integrate(f: Callable, spec: QuadratureSpec) -> float | np.ndarray:
             split[np.argsort(-share, kind="stable")[n:]] = False
         used += n
         center, half = state[0, split], 0.5 * state[1, split]
-        child = np.array((np.concatenate((center - half, center + half)),
-                          np.concatenate((half, half))))
+        panels = np.array((np.concatenate((center - half, center + half)),
+                           np.concatenate((half, half))))
         if half.min() <= narrow:
             # a child whose midpoint equals an endpoint has nodes that
             # collapse onto it: the float spacing is as fine as panels get
-            mag = np.abs(child[0])
-            flat = mag + child[1] == mag
+            mag = np.abs(panels[0])
+            flat = mag + panels[1] == mag
             if flat.any():
                 raise NonConvergence(
-                    f"panel at x={float(child[0, np.argmax(flat)])!r} narrowed "
+                    f"panel at x={float(panels[0, np.argmax(flat)])!r} narrowed "
                     f"to the float spacing after {used} subdivisions")
-        state = np.concatenate((state[:, ~split], _panels(g, child)), axis=1)
+        state = state[:, ~split]
 
     try:
         totals = [math.fsum(row) for row in state[2:2 + rows].tolist()]

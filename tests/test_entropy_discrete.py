@@ -335,12 +335,24 @@ def test_typed_errors(build, error, match):
 @example(2_047, 1, True)
 @example(2_048, 2, True)
 @example(2_049, 3, False)
+@example(511, 4, True)    # the fsum threshold, 512, and either side of it
+@example(512, 5, False)
+@example(513, 6, True)
+@example(2 ** 15 - 1, 7, True)  # around one and two extraction blocks
+@example(2 ** 15, 8, False)
+@example(2 ** 15 + 1, 9, True)
+@example(2 * 2 ** 15 + 1, 10, True)
 def test_sum_equals_fsum_bit_for_bit(n, seed, mixed_signs):
+    values = _wide_range(n, seed, mixed_signs)
+    assert _sum(values) == math.fsum(values.tolist())
+
+
+def _wide_range(n, seed, mixed_signs):
     rng = np.random.default_rng(seed)
     values = 10.0 ** rng.uniform(-20.0, 20.0, n)
     if mixed_signs:
         values *= rng.choice([-1.0, 1.0], n)
-    assert _sum(values) == math.fsum(values.tolist())
+    return values
 
 
 @pytest.fixture
@@ -359,8 +371,8 @@ def fsum_lengths(monkeypatch):
 
 
 def _tie():
-    # 1 + 2^-53 lies halfway between 1 and its successor, and the first fold
-    # pairs entries 0 and 4096, leaving 2^-53 as a TwoSum error
+    # a tie: 1 + 2^-53 lies halfway between 1 and its successor, so the
+    # interval the bound leaves around it straddles the tie at both levels
     values = np.zeros(5_000)
     values[0], values[4_096] = 1.0, 2.0 ** -53
     return values
@@ -373,17 +385,19 @@ def _tie_up():
 
 
 def _cancelling_errors():
-    # the folds of +-1e16 with +-1 leave errors +1 and -1, whose bound
-    # swamps the true sum 2^-60
+    # +-1e16 and +-1 cancel exactly around the true sum 2^-60, which the
+    # bound at either level (about 2^-12, then 2^-51) swamps: the interval
+    # holds sums of both signs
     values = np.zeros(5_000)
     values[[0, 4_096, 1, 4_097, 2]] = 1e16, 1.0, -1e16, -1.0, 2.0 ** -60
     return values
 
 
 def _rounded_error_sum():
-    # the first fold's errors are 2^-53 and 2^-200, whose float sum drops
-    # the 2^-200 that lifts 1 + 2^-53 off the tie: only the bound on that
-    # sum sends this to the fallback
+    # 1 + 2^-53 + 2^-200 rounds up, but the float low sum of the residuals
+    # (2^-53, +-2^-140 and 2^-200 at the first level) drops the 2^-200 and
+    # leaves the tie, which rounds down: only the bound on that sum sends
+    # this to the fallback
     values = np.zeros(5_000)
     values[[0, 4_096, 1, 4_097, 2]] = (1.0, 2.0 ** -53, 2.0 ** -140, 2.0 ** -200,
                                        -2.0 ** -140)
@@ -411,6 +425,28 @@ def test_sum_certifies_without_the_full_fsum(fsum_lengths):
     fsum_lengths.clear()
     assert _sum(values) == expected
     assert max(fsum_lengths) < 1_100
+
+
+def test_sum_certifies_at_the_second_level_without_the_full_fsum(fsum_lengths):
+    # for this seed the first level's interval straddles a rounding
+    # boundary, and the second level settles it: more fsum calls than the
+    # first level's two, none of them over the whole vector
+    values = _wide_range(50_000, 29, True)
+    expected = math.fsum(values.tolist())
+    fsum_lengths.clear()
+    assert _sum(values) == expected
+    assert len(fsum_lengths) > 2
+    assert max(fsum_lengths) < values.size
+
+
+@pytest.mark.parametrize("top", [2.0 ** -900, 2.0 ** -1000, 5e-324])
+def test_sum_of_tiny_entries_is_fsum(top):
+    # max|x| at or below 2^-900, subnormal entries included
+    rng = np.random.default_rng(7)
+    values = top * rng.uniform(-1.0, 1.0, 4_000)
+    values[:100] = rng.choice([-5e-324, 0.0, 5e-324, 2.0 ** -1060], 100)
+    values[100] = top
+    assert _sum(values) == math.fsum(values.tolist())
 
 
 @pytest.mark.parametrize("head", [
