@@ -10,14 +10,23 @@ The divisor is the same binary normalization used by the havrda_charvat
 family, so the q = f self-assignment reproduces that entropy exactly, and
 its order-1 limit is the Shannon value over ln 2.
 
+For densities E_f is the integral of exp(ln f + (alpha-1) ln q), read
+through the one log-density boundary described on `DensitySpec`.  A q that
+is zero where f is a positive float raises DomainError; where f has
+underflowed too, the term is 0.  A q that underflows to 0 in a tail is not
+such a zero when it supplies `log_pdf`, as the bundled densities do: its
+log stays finite there.  Where q^(alpha-1) outgrows f,
+the terms overflow and NonFinite says that E_f diverges.
+
 `m_alpha_expectation_residual` checks the identity
 
     (integral f^(2-alpha) - 1)/(alpha - 1)  ==  (E_f[f^(1-alpha)] - 1)/(alpha - 1)
 
-by computing the two sides through different integrand code paths.  They are
-algebraically the same integral, so the residual is a plumbing consistency
-check and is held to 1e-10; both quadratures run 100x tighter than the
-caller's tolerances to leave headroom under that bound.
+by computing the two sides through different integrands: exp((2-alpha) ln f)
+for the power integral, exp(ln f + (1-alpha) ln f) for the expectation.
+They are algebraically the same integral, so the residual is a plumbing
+consistency check and is held to 1e-10; both quadratures run 100x tighter
+than the caller's tolerances to leave headroom under that bound.
 """
 from __future__ import annotations
 
@@ -25,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .entropy_continuous import DensitySpec, _values, density_power_integral
+from .entropy_continuous import DensitySpec, _expected_power, density_power_integral
 from .entropy_discrete import (
     HAVRDA_CHARVAT,
     MATHAI_M,
@@ -36,7 +45,7 @@ from .entropy_discrete import (
     validate_order,
 )
 from .errors import DomainError, InvalidOrder
-from .quadrature import QuadratureSpec, integrate
+from .quadrature import QuadratureSpec
 
 __all__ = [
     "InaccuracyInput",
@@ -81,7 +90,7 @@ class InaccuracyInput:
 def m_alpha_expectation_residual(f: DensitySpec, order: AlphaOrder,
                                  spec: QuadratureSpec | None = None) -> float:
     """|direct power-integral route - expectation route| for the order-alpha
-    measure of f; the two integrands are coded independently."""
+    measure of f."""
     validate_order(MATHAI_M, order)
     a = order.alpha
     if a == 1.0:
@@ -90,12 +99,7 @@ def m_alpha_expectation_residual(f: DensitySpec, order: AlphaOrder,
     run = replace(run, rel_tol=max(run.rel_tol / 100.0, 1e-13),
                   abs_tol=max(run.abs_tol / 100.0, 1e-15))
     direct = (density_power_integral(f, 2.0 - a, run) - 1.0) / (a - 1.0)
-
-    def expectation_integrand(x):
-        v = _values(f, x)
-        return np.where(v > 0.0, v * np.where(v > 0.0, v, 1.0) ** (1.0 - a), 0.0)
-
-    expected = (integrate(expectation_integrand, run) - 1.0) / (a - 1.0)
+    expected = (_expected_power(f, f, 1.0 - a, run) - 1.0) / (a - 1.0)
     return abs(direct - expected)
 
 
@@ -106,16 +110,7 @@ def kerridge_inaccuracy(inp: InaccuracyInput,
     f, q = inp.true_dist, inp.assigned
     if isinstance(f, DiscreteDistribution):
         mask = f.probs > 0.0
-        terms = f.probs[mask] * q.probs[mask] ** (a - 1.0)
-        expected = _sum(terms)
+        expected = _sum(f.probs[mask] * q.probs[mask] ** (a - 1.0))
     else:
-        def integrand(x):
-            fv = _values(f, x)
-            qv = _values(q, x)
-            if np.any((fv > 0.0) & (qv <= 0.0)):
-                raise DomainError("assigned density is zero where f has mass")
-            qv = np.where(fv > 0.0, qv, 1.0)
-            return np.where(fv > 0.0, fv * qv ** (a - 1.0), 0.0)
-
-        expected = integrate(integrand, f.quadrature_spec(spec))
+        expected = _expected_power(f, q, a - 1.0, spec)
     return entropy_from_power_sum(HAVRDA_CHARVAT, inp.order, expected)

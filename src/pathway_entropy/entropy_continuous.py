@@ -4,6 +4,7 @@ A density is a callable plus its declared support.  The five order-alpha
 measures replace the discrete power sum with the integral of f^alpha (or
 f^(2-alpha) for the mathai forms), evaluated by the adaptive quadrature in
 `pathway_entropy.quadrature`; the Shannon measure is -A * integral f ln f.
+Every integrand is a function of ln f, read as `DensitySpec` describes.
 
 The product-composition law carries over verbatim: for the independent joint
 density f(x) g(y) the joint measure equals F(f) + F(g) + a(alpha) F(f) F(g).
@@ -17,7 +18,8 @@ its own tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -30,7 +32,7 @@ from .entropy_discrete import (
     validate_order,
 )
 from .errors import DomainError, InvalidDistribution, NonFinite
-from .quadrature import QuadratureSpec, _Evaluator, integrate
+from .quadrature import QuadratureSpec, _Evaluator, _spec_over, integrate
 
 __all__ = [
     "DensitySpec",
@@ -43,6 +45,8 @@ __all__ = [
 ]
 
 _NORMALIZATION_TOL = 1e-8
+_LOWEST = -sys.float_info.max
+_LOG_MAX = math.log(sys.float_info.max)   # the largest exponent exp keeps finite
 
 
 @dataclass(frozen=True)
@@ -50,16 +54,21 @@ class DensitySpec:
     """Density callable with declared support [lower, upper].
 
     Endpoints may be infinite.  `checked()` verifies unit mass by quadrature;
-    the bundled constructors below are normalized in closed form.  Negative
-    density values are clamped to zero and a NaN value raises NonFinite; the
+    the bundled constructors below are normalized in closed form.  Every
+    measure reads the density as ln f, in one place: `log_pdf` when given,
+    else the log of `pdf`, where zero, negative round-off and underflowed
+    values read as -inf and add nothing.  A NaN raises NonFinite.  A
+    `log_pdf` (the bundled densities supply one) stays finite where f
+    underflows, so its tail still counts in integrands such as f q^p.  The
     order-alpha measures of a density with zero mass raise DomainError.
-    `pdf` may be vectorized or scalar-only; it is adapted once per node
-    batch, so the measures and compositions built on it stay batched.
+    `pdf` and `log_pdf` may be vectorized or scalar-only; each is adapted
+    once per node batch, so what is built on them stays batched.
     """
 
     pdf: Callable[[np.ndarray], np.ndarray]
     lower: float
     upper: float
+    log_pdf: Callable[[np.ndarray], np.ndarray] | None = field(default=None, kw_only=True)
 
     def __post_init__(self) -> None:
         lo = float(self.lower)
@@ -73,71 +82,104 @@ class DensitySpec:
     def quadrature_spec(self, template: QuadratureSpec | None = None) -> QuadratureSpec:
         """Integration spec over this support, tolerances taken from
         `template` when given."""
-        if template is None:
-            return QuadratureSpec(self.lower, self.upper)
-        return replace(template, lower=self.lower, upper=self.upper)
+        return _spec_over(self.lower, self.upper, template)
 
     def checked(self, spec: QuadratureSpec | None = None) -> "DensitySpec":
         """Verify unit mass by quadrature; returns the spec itself."""
-        total = integrate(lambda x: _values(self, x), self.quadrature_spec(spec))
+        total = integrate(lambda x: np.exp(_log_values(self, x)), self.quadrature_spec(spec))
         if abs(total - 1.0) > _NORMALIZATION_TOL:
             raise InvalidDistribution(
                 f"density mass is {total!r}, outside 1 +/- {_NORMALIZATION_TOL}")
         return self
 
 
-def _values(f: DensitySpec, x: np.ndarray) -> np.ndarray:
-    # the only call of a user pdf; round-off negatives clamp to 0, NaN raises
-    v = _Evaluator(f.pdf)(x)
-    if np.isnan(v).any():
+def _log_values(f: DensitySpec, x: np.ndarray) -> np.ndarray:
+    """ln f at the nodes x: the only call of a density's pdf or log_pdf.
+    Without a log_pdf, pdf values that are not positive read as -inf;
+    NaN raises."""
+    if f.log_pdf is not None:
+        logs = _Evaluator(f.log_pdf)(x)
+    else:
+        v = _Evaluator(f.pdf)(x)
+        # "not v <= 0" lets NaN through to the check below
+        logs = np.log(v, out=np.full(v.shape, -math.inf), where=~(v <= 0.0))
+    if np.isnan(logs).any():
         raise NonFinite("density returned NaN")
-    return np.where(v > 0.0, v, 0.0)
+    return logs
 
 
 def _power(c: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Integrand term v^c of density values v, with 0^c = 0."""
-    return lambda v: np.where(v > 0.0, v ** c, 0.0)
+    """Integrand term f^c = exp(c ln f) of the logs ln f."""
+    return lambda logs: np.exp(c * logs)
 
 
-def _shannon(v: np.ndarray) -> np.ndarray:
-    """Integrand term -v ln v of density values v, with 0 ln 0 = 0."""
-    return np.where(v > 0.0, -v * np.log(np.where(v > 0.0, v, 1.0)), 0.0)
+def _shannon(logs: np.ndarray) -> np.ndarray:
+    """Integrand term -f ln f of the logs ln f: -inf steps up to the lowest
+    float, where exp is already 0, so 0 ln 0 = 0."""
+    return -np.exp(logs) * np.maximum(logs, _LOWEST)
+
+
+def _expected_power(f: DensitySpec, q: DensitySpec, p: float,
+                    spec: QuadratureSpec | None = None) -> float:
+    """E_f[q^p], the integral of exp(ln f + p ln q) over f's support.  A q
+    that is zero where f's value is a positive float raises DomainError; where
+    f has underflowed too, the term is 0.  A term past the float range raises
+    NonFinite: E_f[q^p] diverges."""
+    def integrand(x):
+        lf = _log_values(f, x)
+        lq = lf if q is f else _log_values(q, x)
+        zero = lq == -math.inf
+        if (np.exp(np.minimum(lf[zero], 0.0)) > 0.0).any():
+            raise DomainError("assigned density is zero where f has mass")
+        e = lf + p * np.where(zero, 0.0, lq)
+        e[zero] = -math.inf
+        if (e > _LOG_MAX).any():
+            raise NonFinite(f"E_f[q^p] diverges at p = {p!r}: f q^p overflows "
+                            f"near x={float(x[np.argmax(e)])!r}")
+        return np.exp(e)
+
+    return integrate(integrand, f.quadrature_spec(spec))
 
 
 def uniform_density(lower: float = 0.0, upper: float = 1.0) -> DensitySpec:
     if not (math.isfinite(lower) and math.isfinite(upper) and lower < upper):
         raise InvalidDistribution("uniform support must be a finite interval")
-    height = 1.0 / (upper - lower)
+    log_height = -math.log(upper - lower)
 
-    def pdf(x):
+    def log_pdf(x):
         x = np.asarray(x, dtype=float)
-        return np.where((x >= lower) & (x <= upper), height, 0.0)
+        return np.where((x >= lower) & (x <= upper), log_height, -math.inf)
 
-    return DensitySpec(pdf, lower, upper)
+    return _from_log_pdf(log_pdf, lower, upper)
 
 
 def exponential_density(rate: float = 1.0) -> DensitySpec:
     if not (rate > 0 and math.isfinite(rate)):
         raise InvalidDistribution("exponential rate must be positive")
+    log_rate = math.log(rate)
 
-    def pdf(x):
+    def log_pdf(x):
         x = np.asarray(x, dtype=float)
-        return np.where(x >= 0.0, rate * np.exp(-rate * x), 0.0)
+        return np.where(x >= 0.0, log_rate - rate * x, -math.inf)
 
-    return DensitySpec(pdf, 0.0, math.inf)
+    return _from_log_pdf(log_pdf, 0.0, math.inf)
 
 
 def gaussian_density(mean: float = 0.0, sd: float = 1.0) -> DensitySpec:
     if not (sd > 0 and math.isfinite(sd) and math.isfinite(mean)):
         raise InvalidDistribution("gaussian needs finite mean and positive sd")
-    norm = 1.0 / (sd * math.sqrt(2.0 * math.pi))
+    log_norm = -math.log(sd * math.sqrt(2.0 * math.pi))
 
-    def pdf(x):
-        x = np.asarray(x, dtype=float)
-        z = (x - mean) / sd
-        return norm * np.exp(-0.5 * z * z)
+    def log_pdf(x):
+        z = (np.asarray(x, dtype=float) - mean) / sd
+        return log_norm - 0.5 * z * z
 
-    return DensitySpec(pdf, -math.inf, math.inf)
+    return _from_log_pdf(log_pdf, -math.inf, math.inf)
+
+
+def _from_log_pdf(log_pdf: Callable, lower: float, upper: float) -> DensitySpec:
+    """The density stated once, in log form; its pdf is the exp of that."""
+    return DensitySpec(lambda x: np.exp(log_pdf(x)), lower, upper, log_pdf=log_pdf)
 
 
 def density_power_integral(f: DensitySpec, exponent: float,
@@ -146,7 +188,7 @@ def density_power_integral(f: DensitySpec, exponent: float,
     if not exponent > 0:
         raise DomainError("power integral needs a positive exponent")
     term = _power(exponent)
-    return integrate(lambda x: term(_values(f, x)), f.quadrature_spec(spec))
+    return integrate(lambda x: term(_log_values(f, x)), f.quadrature_spec(spec))
 
 
 def continuous_entropy(f: DensitySpec, family: EntropyFamily, order: AlphaOrder,
@@ -160,27 +202,27 @@ def continuous_entropy(f: DensitySpec, family: EntropyFamily, order: AlphaOrder,
     validate_order(family, order)
     return _from_statistic(
         family, order,
-        lambda: integrate(lambda x: _shannon(_values(f, x)), f.quadrature_spec(spec)),
+        lambda: integrate(lambda x: _shannon(_log_values(f, x)), f.quadrature_spec(spec)),
         lambda c: density_power_integral(f, c, spec))
 
 
 def _joint(f: DensitySpec, g: DensitySpec, spec: QuadratureSpec | None,
            term: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Iterated integral of term(f(x) g(y)): each outer sweep's batch of
-    nodes x runs one vector-valued inner quadrature over y, one row per node
-    with f(x) > 0, so the rows share panels while each meets its own
-    tolerance.  Nodes with f(x) <= 0 contribute 0 without an inner pass.
+    """Iterated integral of term(ln f(x) + ln g(y)): each outer sweep's
+    batch of nodes x runs one vector-valued inner quadrature over y, one row
+    per node where f has mass, so the rows share panels while each meets its
+    own tolerance.  Nodes where f is zero contribute 0 without an inner pass.
     """
     inner_spec = g.quadrature_spec(spec)
 
     def outer(x):
-        fx = _values(f, x)
-        out = np.zeros(fx.shape)
-        live = fx > 0.0
+        lf = _log_values(f, x)
+        out = np.zeros(lf.shape)
+        live = lf > -math.inf
         if live.any():
-            rows = fx[live]
+            rows = lf[live]
             out[live] = integrate(
-                lambda y: term(np.multiply.outer(rows, _values(g, y))), inner_spec)
+                lambda y: term(np.add.outer(rows, _log_values(g, y))), inner_spec)
         return out
 
     return integrate(outer, f.quadrature_spec(spec))

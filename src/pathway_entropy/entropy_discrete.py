@@ -202,13 +202,15 @@ class DiscreteDistribution:
         p = np.asarray(self.probs, dtype=float).ravel()
         if p.size < 1:
             raise InvalidDistribution("need at least one outcome")
-        if not np.all(np.isfinite(p)):
+        # min and max propagate NaN, so this one pair sees every bad entry
+        low, high = p.min(), p.max()
+        if not (math.isfinite(low) and math.isfinite(high)):
             raise InvalidDistribution("probabilities must be finite")
         if self.zero_policy is ZeroPolicy.STRICT_POSITIVE:
-            if np.any(p <= 0.0):
+            if low <= 0.0:
                 raise InvalidDistribution(
                     "strict_positive distribution contains a non-positive entry")
-        elif np.any(p < 0.0):
+        elif low < 0.0:
             raise InvalidDistribution("probabilities must be non-negative")
         total = _sum(p)
         if abs(total - 1.0) > _SUM_SLACK:

@@ -46,9 +46,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy_continuous import DensitySpec
-from .errors import DomainError, NotNormalizable, UnknownName
-from .quadrature import QuadratureSpec, integrate
+from .entropy_continuous import _LOG_MAX, DensitySpec, _from_log_pdf
+from .errors import DomainError, NonFinite, NotNormalizable, UnknownName
+from .quadrature import QuadratureSpec, _spec_over, integrate
 
 __all__ = [
     "PathwayParams",
@@ -139,12 +139,21 @@ def _x_of_t(params: PathwayParams, scale: float, t):
 
 
 def normalizing_constant(params: PathwayParams) -> float:
-    """Closed-form c with integral(c * kernel) = 1, computed in log space."""
+    """Closed-form c with integral(c * kernel) = 1, computed in log space.
+    Raises NonFinite when c lies outside the float range."""
+    log_c = _log_constant(params)
+    c = math.exp(log_c) if log_c <= _LOG_MAX else math.inf
+    if not 0.0 < c < math.inf:
+        raise NonFinite(f"normalizing constant exp({log_c!r}) is outside the float range")
+    return c
+
+
+def _log_constant(params: PathwayParams) -> float:
+    """ln c = ln delta + r ln scale - ln B(r, q), or - ln Gamma(r) at order 1."""
     _require_normalizable(params)
     r, q, scale = _substitution(params)
     log_shape = math.lgamma(r) if q is None else _log_beta(r, q)
-    log_c = math.log(params.delta) + r * math.log(scale) - log_shape
-    return math.exp(log_c)
+    return math.log(params.delta) + r * math.log(scale) - log_shape
 
 
 def _log_beta(p: float, q: float) -> float:
@@ -156,8 +165,8 @@ def normalizing_constant_quadrature(params: PathwayParams,
     """c recomputed as 1 / integral(kernel): the cross-check route."""
     _require_normalizable(params)
     interval = support(params)
-    unnormalized = DensitySpec(lambda x: kernel(params, x), interval.lower, interval.upper)
-    return 1.0 / integrate(unnormalized.pdf, unnormalized.quadrature_spec(spec))
+    return 1.0 / integrate(functools.partial(kernel, params),
+                           _spec_over(interval.lower, interval.upper, spec))
 
 
 def log_kernel(params: PathwayParams, x):
@@ -359,11 +368,9 @@ def special_case(name: str, **kwargs) -> PathwayParams:
 
 
 def as_density_spec(params: PathwayParams) -> DensitySpec:
-    """Bridge into the continuous-entropy interface."""
-    c = normalizing_constant(params)
+    """Bridge into the continuous-entropy interface: ln f = ln c + ln g stays
+    finite where the kernel is positive, even if c leaves the float range."""
+    log_c = _log_constant(params)
     interval = support(params)
-
-    def pdf(x):
-        return c * kernel(params, x)
-
-    return DensitySpec(pdf, interval.lower, interval.upper)
+    return _from_log_pdf(lambda x: log_c + log_kernel(params, x),
+                         interval.lower, interval.upper)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -112,6 +112,15 @@ class QuadratureSpec:
             raise DomainError("max_subdivisions must be at least 1")
 
 
+def _spec_over(lower: float, upper: float,
+               template: QuadratureSpec | None = None) -> QuadratureSpec:
+    """Integration spec over [lower, upper], tolerances taken from
+    `template` when given."""
+    if template is None:
+        return QuadratureSpec(lower, upper)
+    return replace(template, lower=lower, upper=upper)
+
+
 class _Evaluator:
     """Calls a user callable, where it enters, on node batches: the values
     come back as floats, one per node or one row per integral, from one
@@ -151,34 +160,41 @@ class _Evaluator:
 
 
 def _fold_infinite(f: Callable, lower: float, upper: float):
-    """Return (g, a, b): a finite-interval integrand equivalent to f on
-    [lower, upper].  Rational maps keep power-law tails integrable."""
+    """Return (g, a, b, x_of): a finite-interval integrand g on [a, b]
+    equivalent to f on [lower, upper], and the map from g's variable back
+    to x.  Rational maps keep power-law tails integrable."""
     lo_inf = math.isinf(lower)
     hi_inf = math.isinf(upper)
     if not lo_inf and not hi_inf:
-        return f, float(lower), float(upper)
+        return f, float(lower), float(upper), lambda t: t
+
+    if lo_inf and hi_inf:
+        a, b = -1.0, 1.0
+
+        def x_of(t):
+            return t / (1.0 - t * t)
+
+        def fold(t, fx):
+            u = 1.0 - t * t
+            return fx * ((1.0 + t * t) / (u * u))
+    else:
+        a, b = 0.0, 1.0
+        edge, sign = (float(lower), 1.0) if hi_inf else (float(upper), -1.0)
+
+        def x_of(t):
+            return edge + sign * (t / (1.0 - t))
+
+        def fold(t, fx):
+            u = 1.0 - t
+            return fx / (u * u)
 
     # nodes round onto the folded interval's ends only on panels narrower
-    # than the float spacing there; they get a finite stand-in and weight 0
-    if lo_inf and hi_inf:
-        def g(t, _f=f):
-            u = 1.0 - t * t
-            inside = u > 0.0
-            u = np.where(inside, u, 1.0)
-            return np.where(inside, _f(t / u) * ((1.0 + t * t) / (u * u)), 0.0)
-        return g, -1.0, 1.0
-
-    if hi_inf:
-        a, sign = float(lower), 1.0
-    else:
-        a, sign = float(upper), -1.0
-
-    def g(t, _f=f, _a=a, _sign=sign):
-        u = 1.0 - t
-        inside = u > 0.0
-        u = np.where(inside, u, 1.0)
-        return np.where(inside, _f(_a + _sign * (t / u)) / (u * u), 0.0)
-    return g, 0.0, 1.0
+    # than the float spacing there; they get an interior stand-in and weight 0
+    def g(t):
+        inside = np.abs(t) < 1.0
+        t = np.where(inside, t, 0.5)
+        return np.where(inside, fold(t, f(x_of(t))), 0.0)
+    return g, a, b, x_of
 
 
 def _rule(kept: np.ndarray | None, panels: np.ndarray, fv: np.ndarray) -> np.ndarray:
@@ -228,7 +244,12 @@ def integrate(f: Callable, spec: QuadratureSpec) -> float | np.ndarray:
     infinity at a node or its integral overflows the float range.
     """
     evaluate = _Evaluator(f)
-    g, a, b = _fold_infinite(evaluate, spec.lower, spec.upper)
+    g, a, b, x_of = _fold_infinite(evaluate, spec.lower, spec.upper)
+
+    def at(t):  # a node of g as the x it stands for, in messages
+        with np.errstate(divide="ignore"):
+            return float(x_of(np.float64(t)))
+
     # only a half-width up to this spacing can have reached the float spacing
     narrow = math.ulp(max(abs(a), abs(b)))
 
@@ -242,7 +263,7 @@ def integrate(f: Callable, spec: QuadratureSpec) -> float | np.ndarray:
         if not np.isfinite(fv).all():
             row, panel, node = np.argwhere(~np.isfinite(fv))[0]
             raise NonFinite(f"integrand returned a non-finite value near "
-                            f"x={float(nodes[panel, node])!r} in row {row}")
+                            f"x={at(nodes[panel, node])!r} in row {row}")
         rows = fv.shape[0]
         # the integrand runs outside this: its own warnings stay as they are
         with np.errstate(over="ignore", invalid="ignore"):
@@ -275,7 +296,7 @@ def integrate(f: Callable, spec: QuadratureSpec) -> float | np.ndarray:
             flat = mag + panels[1] == mag
             if flat.any():
                 raise NonConvergence(
-                    f"panel at x={float(panels[0, np.argmax(flat)])!r} narrowed "
+                    f"panel at x={at(panels[0, np.argmax(flat)])!r} narrowed "
                     f"to the float spacing after {used} subdivisions")
         state = state[:, ~split]
 

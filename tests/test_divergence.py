@@ -14,6 +14,7 @@ from pathway_entropy.divergence import (
 from pathway_entropy.entropy_continuous import (
     DensitySpec,
     exponential_density,
+    gaussian_density,
     uniform_density,
 )
 from pathway_entropy.entropy_discrete import (
@@ -25,7 +26,7 @@ from pathway_entropy.entropy_discrete import (
     entropy_from_power_sum,
     shannon_limit_constant,
 )
-from pathway_entropy.errors import DomainError, InvalidOrder
+from pathway_entropy.errors import DomainError, InvalidOrder, NonFinite
 from pathway_entropy.pathway import PathwayParams, as_density_spec
 
 
@@ -76,6 +77,41 @@ def test_continuous_inaccuracy_closed_form():
     q = exponential_density(2.0)
     inp = InaccuracyInput(f, q, AlphaOrder(2.0))
     assert kerridge_inaccuracy(inp) == pytest.approx(2.0 / 3.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("rate", [1.5, 2.5])
+def test_continuous_inaccuracy_where_the_assigned_tail_underflows(rate):
+    # far in the folded tail e^(-rate x) underflows to 0 while e^-x does
+    # not; their logs stay finite, so E_f[q^(1/2)] = sqrt(r) / (1 + r/2)
+    inp = InaccuracyInput(exponential_density(1.0), exponential_density(rate),
+                          AlphaOrder(1.5))
+    expected = (math.sqrt(rate) / (1.0 + rate / 2.0) - 1.0) / (2.0 ** -0.5 - 1.0)
+    assert kerridge_inaccuracy(inp) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5])
+@pytest.mark.parametrize("bundled, pdf_only", [
+    (gaussian_density(),
+     DensitySpec(lambda x: np.exp(-x * x / 2.0) / math.sqrt(2.0 * math.pi),
+                 -math.inf, math.inf)),
+    (exponential_density(1.0), DensitySpec(lambda x: np.exp(-x), 0.0, math.inf)),
+], ids=["gaussian", "exponential"])
+def test_continuous_inaccuracy_against_a_pdf_only_copy(bundled, pdf_only, alpha):
+    # far in the folded tail the pdf-only copy underflows to 0 where the
+    # bundled log density stays finite; f has no float-range mass there, so
+    # those nodes add 0 and either order gives the self-inaccuracy
+    own = kerridge_inaccuracy(InaccuracyInput(bundled, bundled, AlphaOrder(alpha)))
+    for f, q in ((bundled, pdf_only), (pdf_only, bundled)):
+        inp = InaccuracyInput(f, q, AlphaOrder(alpha))
+        assert kerridge_inaccuracy(inp) == pytest.approx(own, rel=1e-12)
+
+
+def test_divergent_continuous_inaccuracy_is_non_finite():
+    # q^(-1/2) grows like e^(x^2) and outgrows f = N(0, 1): E_f diverges
+    inp = InaccuracyInput(gaussian_density(), gaussian_density(0.0, 0.5),
+                          AlphaOrder(0.5))
+    with pytest.raises(NonFinite, match=r"E_f\[q\^p\] diverges at p = -0\.5"):
+        kerridge_inaccuracy(inp)
 
 
 def test_asymmetry_observed():

@@ -21,9 +21,9 @@ from pathway_entropy.entropy_continuous import (
     gaussian_density,
     uniform_density,
     _joint,
+    _log_values,
     _power,
     _shannon,
-    _values,
 )
 from pathway_entropy.entropy_discrete import (
     ALPHA_FAMILIES,
@@ -156,15 +156,15 @@ def test_composition_with_scalar_valued_inner_pdf(g):
                          ids=["vectorized", "scalar_only", "constant"])
 def test_values_gives_one_float_per_node(pdf):
     x = np.linspace(0.0, 2.0, 7)
-    v = _values(DensitySpec(pdf, 0.0, math.inf), x)
-    assert v.dtype == float and v.shape == x.shape
-    assert v.tolist() == pytest.approx([pdf(float(t)) for t in x], rel=1e-15)
+    logs = _log_values(DensitySpec(pdf, 0.0, math.inf), x)
+    assert logs.dtype == float and logs.shape == x.shape
+    assert logs.tolist() == pytest.approx([math.log(pdf(float(t))) for t in x], rel=1e-15)
 
 
 @pytest.mark.parametrize("family,alpha", [(SHANNON, 1.0), (TSALLIS, 1.5)])
 def test_scalar_only_outer_pdf_keeps_the_composition_batched(family, alpha, monkeypatch):
     # A pdf that rejects arrays is looped over each node batch inside
-    # _values, so the outer integrand stays vectorized and each outer sweep
+    # _log_values, so the outer integrand stays vectorized and each outer sweep
     # runs one inner integral, as for its vectorized twin (same values).
     calls = []
     real = entropy_continuous.integrate
@@ -207,8 +207,8 @@ def test_composition_pathway_pairs_tight(params, g):
 def _joint_per_node(f, g, term):
     # reference: one scalar inner integral at each outer node
     def outer(x):
-        return np.array([integrate(lambda y: term(fx * _values(g, y)), g.quadrature_spec())
-                         if fx > 0.0 else 0.0 for fx in _values(f, x)])
+        return np.array([integrate(lambda y: term(lx + _log_values(g, y)), g.quadrature_spec())
+                         if lx > -math.inf else 0.0 for lx in _log_values(f, x)])
 
     return integrate(outer, f.quadrature_spec())
 

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from pathway_entropy.errors import DomainError, NotNormalizable, UnknownName
+from pathway_entropy.entropy_continuous import continuous_entropy
+from pathway_entropy.entropy_discrete import SHANNON, TSALLIS, AlphaOrder
+from pathway_entropy.errors import DomainError, NonFinite, NotNormalizable, UnknownName
 from pathway_entropy.pathway import (
     SPECIAL_CASE_NAMES,
     PathwayParams,
@@ -328,6 +330,31 @@ def test_random_params_normalize_across_regimes():
         assert abs(total - 1.0) <= 1e-7
         assert normalizing_constant_quadrature(params) == pytest.approx(
             normalizing_constant(params), rel=1e-8)
+
+
+# shapes whose constant leaves the float range while the density stays an
+# ordinary number: c = e^956.6 at order 1, c = e^-1996 below it.  The
+# entropies were frozen from 40-digit mpmath quadrature of -f ln f and f^1.5,
+# with ln f = ln c + ln g at the binary values of these parameters.
+LARGE_ORDER_ONE = PathwayParams(1.0, 446.18, 2.049, 9.783, 654.7)
+LARGE_BELOW_ONE = PathwayParams(-1.565, 3251.5, 1.219, 0.1466, 404.5)
+
+
+@pytest.mark.parametrize("params,family,alpha,expected", [
+    (LARGE_ORDER_ONE, SHANNON, 1.0, -3.6407488764335589514),
+    (LARGE_BELOW_ONE, SHANNON, 1.0, -3.4102964578012343262),
+    (LARGE_BELOW_ONE, TSALLIS, 1.5, -9.5374996314008790767),
+], ids=["order_one_shannon", "below_one_shannon", "below_one_tsallis"])
+def test_large_shape_entropies_through_the_log_density(params, family, alpha, expected):
+    value = continuous_entropy(as_density_spec(params), family, AlphaOrder(alpha))
+    assert value == pytest.approx(expected, rel=1e-10)
+
+
+@pytest.mark.parametrize("params", [LARGE_ORDER_ONE, LARGE_BELOW_ONE],
+                         ids=["overflows", "underflows"])
+def test_constant_outside_the_float_range_is_non_finite(params):
+    with pytest.raises(NonFinite, match="outside the float range"):
+        normalizing_constant(params)
 
 
 @pytest.mark.parametrize("build,match", [

@@ -1,5 +1,6 @@
 """Integrator and root-finder contract tests."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -176,6 +177,27 @@ def test_nan_integrand_raises_non_finite():
     spec = QuadratureSpec(0.0, 1.0)
     with pytest.raises(NonFinite):
         integrate(lambda x: np.where(x > 0.5, np.nan, 1.0), spec)
+
+
+def _reported_x(message):
+    return float(re.search(r"x=(\S+)", message).group(1))
+
+
+def test_non_finite_message_reports_x_on_a_folded_interval():
+    # the node lies past x = 50, not at its folded t < 1
+    with pytest.raises(NonFinite) as info:
+        integrate(lambda x: np.where(x > 50.0, np.nan, np.exp(-x)),
+                  QuadratureSpec(0.0, math.inf))
+    assert 50.0 < _reported_x(str(info.value)) < 100.0
+
+
+def test_narrowed_panel_message_reports_x_on_a_folded_interval():
+    # refinement at the non-integrable point x = 100 reaches the float
+    # spacing of t = 100/101
+    with pytest.raises(NonConvergence, match="float spacing") as info:
+        integrate(lambda x: np.abs(x - 100.0) ** -1.5,
+                  QuadratureSpec(0.0, math.inf, max_subdivisions=100_000))
+    assert _reported_x(str(info.value)) == pytest.approx(100.0, abs=1e-6)
 
 
 def test_interval_validation():
