@@ -102,9 +102,10 @@ def _extract(values: np.ndarray, sigmas: list[float]) -> list[float]:
     return totals
 
 
-def _sum(values: np.ndarray) -> float:
+def _sum(values: np.ndarray, top: float | None = None) -> float:
     """The correctly rounded sum of a 1-D float array, bit for bit what
-    math.fsum(values.tolist()) returns, signs mixed or not.
+    math.fsum(values.tolist()) returns, signs mixed or not.  `top` is
+    max|x| when the caller already has it.
 
     From 512 entries on, error-free extraction (Rump, Ogita & Oishi,
     "Accurate floating-point summation part I", SIAM J. Sci. Comput. 31,
@@ -121,7 +122,7 @@ def _sum(values: np.ndarray) -> float:
     """
     n = values.size
     if n >= _FSUM_BELOW:
-        top = max(values.max(), -values.min())
+        top = max(values.max(), -values.min()) if top is None else top
         if 2.0 ** -900 < top < 2.0 ** 1000 / n:
             shift = (n + 1).bit_length()
             sigmas = [math.ldexp(1.0, math.frexp(top)[1] + shift)]
@@ -212,7 +213,7 @@ class DiscreteDistribution:
                     "strict_positive distribution contains a non-positive entry")
         elif low < 0.0:
             raise InvalidDistribution("probabilities must be non-negative")
-        total = _sum(p)
+        total = _sum(p, max(high, -low))
         if abs(total - 1.0) > _SUM_SLACK:
             raise InvalidDistribution(
                 f"probabilities sum to {total!r}, outside 1 +/- {_SUM_SLACK}")

@@ -32,8 +32,10 @@ For alpha > 1 the kernel decays like x^(gamma - 1 - delta*beta/(alpha-1)),
 hence integrability requires beta/(alpha-1) - gamma/delta > 0; violations
 raise NotNormalizable instead of silently returning an unnormalized kernel.
 
-Kernel evaluation runs in log space (log1p for the bracket) so that large
-delta or extreme x never produce inf * 0 intermediates.
+The kernel is stated once, as `log_kernel` (log1p for the bracket), so large
+delta or extreme x never produce inf * 0.  `density` is exp(ln c + ln g), the
+log density `as_density_spec` hands the continuous measures: its values stay
+finite where c itself leaves the float range.
 
 The named special cases (`special_case`) are fixed points of the family,
 listed in one table with their free arguments, defaults and requirements.
@@ -142,9 +144,13 @@ def normalizing_constant(params: PathwayParams) -> float:
     """Closed-form c with integral(c * kernel) = 1, computed in log space.
     Raises NonFinite when c lies outside the float range."""
     log_c = _log_constant(params)
-    c = math.exp(log_c) if log_c <= _LOG_MAX else math.inf
+    return _in_float_range(math.exp(log_c) if log_c <= _LOG_MAX else math.inf,
+                           f"exp({log_c!r})")
+
+
+def _in_float_range(c: float, formula: str) -> float:
     if not 0.0 < c < math.inf:
-        raise NonFinite(f"normalizing constant exp({log_c!r}) is outside the float range")
+        raise NonFinite(f"normalizing constant {formula} is outside the float range")
     return c
 
 
@@ -165,8 +171,10 @@ def normalizing_constant_quadrature(params: PathwayParams,
     """c recomputed as 1 / integral(kernel): the cross-check route."""
     _require_normalizable(params)
     interval = support(params)
-    return 1.0 / integrate(functools.partial(kernel, params),
-                           _spec_over(interval.lower, interval.upper, spec))
+    integral = integrate(functools.partial(kernel, params),
+                         _spec_over(interval.lower, interval.upper, spec))
+    return _in_float_range(1.0 / integral if integral > 0.0 else math.inf,
+                           f"1/{integral!r}")
 
 
 def log_kernel(params: PathwayParams, x):
@@ -174,64 +182,55 @@ def log_kernel(params: PathwayParams, x):
     everywhere outside the support)."""
     a = params.alpha
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.full(x.shape, -math.inf)
     inside = (x >= 0.0) & (x <= support(params).upper)
     xi = np.where(inside, x, 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        power = np.where(xi > 0.0,
-                         (params.gamma - 1.0) * np.log(np.where(xi > 0.0, xi, 1.0)),
-                         (0.0 if params.gamma == 1.0 else
-                          (-math.inf if params.gamma > 1.0 else math.inf)))
+        power = (params.gamma - 1.0) * np.log(xi)   # -+inf at x = 0
+        if params.gamma == 1.0:   # x^0 is 1 at the origin, not 0 * -inf
+            power = np.where(xi == 0.0, 0.0, power)
         if a == 1.0:
             bracket = -params.beta_exp * params.s * xi ** params.delta
         else:
             t = params.s * (1.0 - a) * xi ** params.delta
             bracket = (params.beta_exp / (1.0 - a)) * np.log1p(-np.minimum(t, 1.0))
-    out[inside] = (power + bracket)[inside]
-    return float(out[0]) if scalar else out
+    out = np.where(inside, power + bracket, -math.inf)
+    return out if out.ndim else float(out)
 
 
 def kernel(params: PathwayParams, x):
     """Unnormalized kernel g(x); 0 outside the support."""
-    lg = log_kernel(params, x)
+    return _exp(log_kernel(params, x))
+
+
+def _exp(log_values):
+    """exp of a log array, inf past the float range; a float for a scalar."""
     with np.errstate(over="ignore"):
-        return np.exp(lg) if np.ndim(lg) else float(np.exp(lg))
+        return np.exp(log_values) if np.ndim(log_values) else float(np.exp(log_values))
 
 
 def kernel_derivative(params: PathwayParams, x):
-    """Analytic dg/dx.
-
-    g'(x) = x^(gamma-2) u^(m-1) [ (gamma-1) u - s beta delta x^delta ]
-    with u = 1 - s(1-alpha) x^delta and m = beta/(1-alpha); at alpha = 1 the
-    bracket factor u^(m-1) becomes exp(-beta s x^delta) with u = 1.
-    """
-    a = params.alpha
-    g = params.gamma
-    d = params.delta
-    s = params.s
-    b = params.beta_exp
+    """Analytic dg/dx = g(x)/x [(gamma-1) u - s beta delta x^delta] / u with
+    u = 1 - s(1-alpha) x^delta, exactly 1 at alpha = 1; g/x from the log."""
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
     if np.any(x <= 0.0):
         raise DomainError("kernel_derivative needs x > 0")
-    if a == 1.0:
-        u = np.ones_like(x)
-        tail = np.exp(-b * s * x ** d)
-    else:
-        u = 1.0 - s * (1.0 - a) * x ** d
-        if np.any(u <= 0.0):
-            raise DomainError("kernel_derivative needs x interior to the support")
-        tail = u ** (b / (1.0 - a) - 1.0)
-    value = x ** (g - 2.0) * tail * ((g - 1.0) * u - s * b * d * x ** d)
-    return float(value[0]) if scalar else value
+    xd = x ** params.delta
+    u = 1.0 - params.s * (1.0 - params.alpha) * xd
+    if np.any(u <= 0.0):
+        raise DomainError("kernel_derivative needs x interior to the support")
+    slope = (params.gamma - 1.0) * u - params.s * params.beta_exp * params.delta * xd
+    return _exp(log_kernel(params, x) - np.log(x)) * (slope / u)
 
 
 def density(params: PathwayParams, x):
-    """Normalized density c * g(x); 0 outside the support."""
-    return normalizing_constant(params) * kernel(params, x)
+    """Normalized density exp(ln c + ln g(x)); 0 outside the support."""
+    return _exp(_log_density(params)(x))
+
+
+def _log_density(params: PathwayParams):
+    """x -> ln f(x) = ln c + ln g(x): the one statement of the density."""
+    log_c = _log_constant(params)
+    return lambda x: log_c + log_kernel(params, x)
 
 
 @functools.cache
@@ -370,7 +369,5 @@ def special_case(name: str, **kwargs) -> PathwayParams:
 def as_density_spec(params: PathwayParams) -> DensitySpec:
     """Bridge into the continuous-entropy interface: ln f = ln c + ln g stays
     finite where the kernel is positive, even if c leaves the float range."""
-    log_c = _log_constant(params)
     interval = support(params)
-    return _from_log_pdf(lambda x: log_c + log_kernel(params, x),
-                         interval.lower, interval.upper)
+    return _from_log_pdf(_log_density(params), interval.lower, interval.upper)

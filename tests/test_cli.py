@@ -127,6 +127,18 @@ def test_numerical_errors_exit_4(capsys):
     assert json.loads(err)["error"] == "NonConvergence"
 
 
+def test_large_shape_table_exits_zero(capsys):
+    # the constant, e^956.6, overflows; the density, about 63 at the mode,
+    # does not
+    code, out, err = run_capture(
+        capsys, "pathway", "--alpha", "1", "--gamma", "446.18", "--delta", "2.049",
+        "--s", "9.783", "--beta", "654.7", "--table", "0.18:0.2:0.01")
+    assert code == 0 and err == ""
+    header, rows = read_csv_text(out)
+    assert header == ["x", "density"] and len(rows) == 3
+    assert all(0.0 < row[1] < 100.0 for row in rows)
+
+
 def test_csv_round_trip_bit_identical(tmp_path, capsys):
     out_path = tmp_path / "solution.csv"
     code = run(["maxent", "--alpha", "0.5", "--grid", "0:2:0.1",

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -350,11 +351,50 @@ def test_large_shape_entropies_through_the_log_density(params, family, alpha, ex
     assert value == pytest.approx(expected, rel=1e-10)
 
 
-@pytest.mark.parametrize("params", [LARGE_ORDER_ONE, LARGE_BELOW_ONE],
-                         ids=["overflows", "underflows"])
-def test_constant_outside_the_float_range_is_non_finite(params):
+# density at the 1 %, 50 % and 99 % quantiles of each draw (x frozen from
+# `quantile`), against 40-digit mpmath exp(ln c + ln g) at the binary
+# parameter values
+@pytest.mark.parametrize("params,x,expected", [
+    (LARGE_ORDER_ONE, 0.17726527124684702, 4.307534662736384566),
+    (LARGE_ORDER_ONE, 0.19184997348851282, 62.834374477239585073),
+    (LARGE_ORDER_ONE, 0.2067955482681363, 4.1017553726718919867),
+    (LARGE_BELOW_ONE, 2.108032256745643, 2.9860246390298485661),
+    (LARGE_BELOW_ONE, 2.127717097677505, 49.865038938425850186),
+    (LARGE_BELOW_ONE, 2.1452717535762007, 3.7560774684847733545),
+], ids=["order_one_q01", "order_one_q50", "order_one_q99",
+        "below_one_q01", "below_one_q50", "below_one_q99"])
+def test_large_shape_density_against_mpmath(params, x, expected):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scalar = density(params, x)
+        batch = density(params, np.array([x]))
+    assert scalar == pytest.approx(expected, rel=1e-9)
+    assert batch[0] == scalar
+
+
+@pytest.mark.parametrize("params", [HAND, EXPO, QEXP, WIGNER, TYPE1_GEN, TYPE2_GEN,
+                                    LIMIT_GEN, LARGE_ORDER_ONE, LARGE_BELOW_ONE],
+                         ids=["hand", "expo", "qexp", "wigner", "type1", "type2", "limit",
+                              "large_order_one", "large_below_one"])
+def test_density_is_the_spec_pdf_bit_for_bit(params):
+    # one statement of the density: `density` and the spec read one log form
+    xs = np.concatenate([[-1.0, 0.0], quantile(params, 0.5) * np.linspace(0.1, 3.0, 30)])
+    pdf = as_density_spec(params).pdf
+    assert density(params, xs).tobytes() == pdf(xs).tobytes()
+    assert all(density(params, float(x)) == pdf(float(x)) for x in xs)
+
+
+@pytest.mark.parametrize("params,quadrature_match", [
+    (LARGE_ORDER_ONE, "normalizing constant 1/0.0 is outside the float range"),
+    (LARGE_BELOW_ONE, "integrand returned a non-finite value"),
+], ids=["overflows", "underflows"])
+def test_constant_outside_the_float_range_is_non_finite(params, quadrature_match):
     with pytest.raises(NonFinite, match="outside the float range"):
         normalizing_constant(params)
+    # the cross-check route: the kernel underflows to a zero integral, or
+    # overflows where c underflows
+    with pytest.raises(NonFinite, match=quadrature_match):
+        normalizing_constant_quadrature(params)
 
 
 @pytest.mark.parametrize("build,match", [
