@@ -32,7 +32,7 @@ from .entropy_discrete import (
     validate_order,
 )
 from .errors import DomainError, InvalidDistribution, NonFinite
-from .quadrature import QuadratureSpec, _Evaluator, _spec_over, integrate
+from .quadrature import QuadratureSpec, _evaluate, _spec_over, integrate
 
 __all__ = [
     "DensitySpec",
@@ -61,8 +61,8 @@ class DensitySpec:
     `log_pdf` (the bundled densities supply one) stays finite where f
     underflows, so its tail still counts in integrands such as f q^p.  The
     order-alpha measures of a density with zero mass raise DomainError.
-    `pdf` and `log_pdf` may be vectorized or scalar-only; each is adapted
-    once per node batch, so what is built on them stays batched.
+    `pdf` and `log_pdf` may be vectorized or scalar-only: each node batch
+    probes them on the array, then calls a scalar-only one once per node.
     """
 
     pdf: Callable[[np.ndarray], np.ndarray]
@@ -98,9 +98,9 @@ def _log_values(f: DensitySpec, x: np.ndarray) -> np.ndarray:
     Without a log_pdf, pdf values that are not positive read as -inf;
     NaN raises."""
     if f.log_pdf is not None:
-        logs = _Evaluator(f.log_pdf)(x)
+        logs = _evaluate(f.log_pdf, x)
     else:
-        v = _Evaluator(f.pdf)(x)
+        v = _evaluate(f.pdf, x)
         # "not v <= 0" lets NaN through to the check below
         logs = np.log(v, out=np.full(v.shape, -math.inf), where=~(v <= 0.0))
     if np.isnan(logs).any():

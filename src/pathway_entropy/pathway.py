@@ -168,11 +168,16 @@ def _log_beta(p: float, q: float) -> float:
 
 def normalizing_constant_quadrature(params: PathwayParams,
                                     spec: QuadratureSpec | None = None) -> float:
-    """c recomputed as 1 / integral(kernel): the cross-check route."""
+    """c recomputed as 1 / integral(kernel): the cross-check route.
+    Raises NonFinite when c lies outside the float range."""
     _require_normalizable(params)
     interval = support(params)
-    integral = integrate(functools.partial(kernel, params),
-                         _spec_over(interval.lower, interval.upper, spec))
+    try:
+        integral = integrate(functools.partial(kernel, params),
+                             _spec_over(interval.lower, interval.upper, spec))
+    except NonFinite as exc:   # the kernel or its integral overflows: c underflows
+        raise NonFinite(f"normalizing constant 1/integral(kernel) is outside "
+                        f"the float range: {exc}") from exc
     return _in_float_range(1.0 / integral if integral > 0.0 else math.inf,
                            f"1/{integral!r}")
 

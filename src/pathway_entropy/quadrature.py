@@ -121,42 +121,20 @@ def _spec_over(lower: float, upper: float,
     return replace(template, lower=lower, upper=upper)
 
 
-class _Evaluator:
-    """Calls a user callable, where it enters, on node batches: the values
-    come back as floats, one per node or one row per integral, from one
-    call when the callable accepts arrays and from a scalar loop otherwise,
-    so what is built on a scalar-only callable stays batched.  The first
-    batch decides, and records whether the callable is vector-valued.  The
-    package's own errors are answers, not a sign of a scalar-only callable,
-    so they propagate from the first batch at once."""
-
-    def __init__(self, f: Callable):
-        self._f = f
-        self._vectorized: bool | None = None
-        self.vector = False
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        if self._vectorized is None:
-            # vectorized when f(array) returns, without raising, one value
-            # per node or one row of them per integral
-            try:
-                out = np.asarray(self._f(x))
-            except PathwayEntropyError:
-                raise
-            except Exception:
-                out = None
-            self._vectorized = (out is not None and out.ndim in (1, 2)
-                                and out.shape[-1:] == x.shape)
-            if not self._vectorized:
-                out = self._loop(x)
-            self.vector = out.ndim == 2
-            return np.asarray(out, dtype=float)
-        if self._vectorized:
-            return np.asarray(self._f(x), dtype=float)
-        return self._loop(x)
-
-    def _loop(self, x: np.ndarray) -> np.ndarray:
-        return np.array([self._f(float(v)) for v in x], dtype=float).T
+def _evaluate(f: Callable, x: np.ndarray) -> np.ndarray:
+    """f at the nodes x as floats, one per node or one row per integral:
+    from one call on the array when it returns that shape, else from one
+    call per node.  The package's own errors are answers, not a sign of a
+    scalar-only f, so they propagate at once."""
+    try:
+        out = np.asarray(f(x))
+    except PathwayEntropyError:
+        raise
+    except Exception:
+        out = None
+    if out is None or out.ndim not in (1, 2) or out.shape[-1:] != x.shape:
+        out = np.array([f(float(v)) for v in x]).T
+    return np.asarray(out, dtype=float)
 
 
 def _fold_infinite(f: Callable, lower: float, upper: float):
@@ -166,7 +144,7 @@ def _fold_infinite(f: Callable, lower: float, upper: float):
     lo_inf = math.isinf(lower)
     hi_inf = math.isinf(upper)
     if not lo_inf and not hi_inf:
-        return f, float(lower), float(upper), lambda t: t
+        return lambda t: _evaluate(f, t), float(lower), float(upper), lambda t: t
 
     if lo_inf and hi_inf:
         a, b = -1.0, 1.0
@@ -193,7 +171,7 @@ def _fold_infinite(f: Callable, lower: float, upper: float):
     def g(t):
         inside = np.abs(t) < 1.0
         t = np.where(inside, t, 0.5)
-        return np.where(inside, fold(t, f(x_of(t))), 0.0)
+        return np.where(inside, fold(t, _evaluate(f, x_of(t))), 0.0)
     return g, a, b, x_of
 
 
@@ -232,7 +210,8 @@ def integrate(f: Callable, spec: QuadratureSpec) -> float | np.ndarray:
     f maps an array of n nodes to n values, or to shape (m, n) for m
     integrals over the same interval, which then share the panels and
     return as an array of m values; a scalar integrand returns a float.
-    A scalar-only f is called once per node of each batch.
+    Each batch probes f with one call on the array; a scalar-only f is then
+    called once per node.
     Every row meets its own max(abs_tol, rel_tol * |integral|).  Each sweep
     bisects every panel whose error, as a share of its row's tolerance, is
     above 1/panels in some row, which is always at least one panel until
@@ -243,8 +222,7 @@ def integrate(f: Callable, spec: QuadratureSpec) -> float | np.ndarray:
     endpoint), and NonFinite when a row of the integrand returns NaN or an
     infinity at a node or its integral overflows the float range.
     """
-    evaluate = _Evaluator(f)
-    g, a, b, x_of = _fold_infinite(evaluate, spec.lower, spec.upper)
+    g, a, b, x_of = _fold_infinite(f, spec.lower, spec.upper)
 
     def at(t):  # a node of g as the x it stands for, in messages
         with np.errstate(divide="ignore"):
@@ -259,7 +237,9 @@ def integrate(f: Callable, spec: QuadratureSpec) -> float | np.ndarray:
     used = 0
     while True:
         nodes = panels[0][:, None] + panels[1][:, None] * _NODES
-        fv = g(nodes.ravel()).reshape(-1, *nodes.shape)
+        fv = g(nodes.ravel())
+        vector = fv.ndim == 2 if state is None else vector   # the first batch decides
+        fv = fv.reshape(-1, *nodes.shape)
         if not np.isfinite(fv).all():
             row, panel, node = np.argwhere(~np.isfinite(fv))[0]
             raise NonFinite(f"integrand returned a non-finite value near "
@@ -304,7 +284,7 @@ def integrate(f: Callable, spec: QuadratureSpec) -> float | np.ndarray:
         totals = [math.fsum(row) for row in state[2:2 + rows].tolist()]
     except OverflowError:  # fsum's running sum overflowed where numpy's did not
         raise NonFinite("a partial sum overflows the float range") from None
-    return np.array(totals) if evaluate.vector else totals[0]
+    return np.array(totals) if vector else totals[0]
 
 
 def find_root(f: Callable[[float], float], bracket: Sequence[float], tol: float) -> float:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import pathway_entropy
-from pathway_entropy.cli import parse_sweep, read_csv, run
+from pathway_entropy.cli import main, parse_sweep, read_csv, run
 from pathway_entropy.errors import UsageError
 
 
@@ -449,6 +449,17 @@ def test_usage_error_table_exits_2(capsys, argv):
     code, out, err = run_capture(capsys, *argv)
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "UsageError"
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["entropy", "--family", "tsallis", "--alpha", "2", "--probs", "0.5,0.5"], 0),
+    (["pathway", "--constant"], 2),
+], ids=["ok", "usage"])
+def test_main_exits_with_the_code_of_run(monkeypatch, argv, code):
+    monkeypatch.setattr(sys, "argv", ["pathway-entropy", *argv])
+    with pytest.raises(SystemExit) as info:
+        main()
+    assert info.value.code == code
 
 
 def test_read_csv_rejects_empty_input():

@@ -322,7 +322,10 @@ def test_power_sum_map_checks_its_order():
     (lambda: DiscreteDistribution(np.array([0.5, math.nan])), InvalidDistribution,
      "finite"),
     (lambda: DiscreteDistribution.uniform(0), InvalidDistribution, "k >= 1"),
-], ids=["order_nan", "shannon_constant", "empty", "nan_entry", "uniform_zero"])
+    (lambda: power_exponent(SHANNON, AlphaOrder(1.0)), UnsupportedFamily,
+     "not a power-statistic family"),
+], ids=["order_nan", "shannon_constant", "empty", "nan_entry", "uniform_zero",
+        "shannon_power_exponent"])
 def test_typed_errors(build, error, match):
     with pytest.raises(error, match=match):
         build()

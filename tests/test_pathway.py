@@ -386,7 +386,8 @@ def test_density_is_the_spec_pdf_bit_for_bit(params):
 
 @pytest.mark.parametrize("params,quadrature_match", [
     (LARGE_ORDER_ONE, "normalizing constant 1/0.0 is outside the float range"),
-    (LARGE_BELOW_ONE, "integrand returned a non-finite value"),
+    (LARGE_BELOW_ONE, r"normalizing constant 1/integral\(kernel\) is outside the "
+                      r"float range: .* near x=1\.3114"),
 ], ids=["overflows", "underflows"])
 def test_constant_outside_the_float_range_is_non_finite(params, quadrature_match):
     with pytest.raises(NonFinite, match="outside the float range"):

@@ -53,7 +53,7 @@ def test_scalar_only_integrand_is_supported():
     assert abs(value - (math.exp(2.0) - 1.0)) < 1e-10
 
 
-def test_vectorization_is_decided_on_the_first_batch():
+def test_vectorization_is_decided_on_every_batch():
     sizes = []
 
     def f(x):
@@ -64,6 +64,39 @@ def test_vectorization_is_decided_on_the_first_batch():
     assert abs(integrate(f, QuadratureSpec(0.0, 1.0)) - 1.0 / 3.0) < 1e-12
     # one call on whole 15-node panels; no separate small probe call
     assert len(sizes) == 1 and sizes[0] % 15 == 0
+
+
+def _scalar_only(f, probes):
+    """f behind a guard that rejects arrays, recording each batch's probe."""
+    def guarded(x):
+        if isinstance(x, np.ndarray):
+            probes.append(x.size)
+            raise TypeError("scalar-only")
+        return f(x)
+    return guarded
+
+
+# sqrt and rational functions round alike in math and numpy, so a scalar
+# loop and one array call give the same bits
+@pytest.mark.parametrize("scalar,vector,lower,upper,rel_tol", [
+    (math.sqrt, np.sqrt, 0.0, 1.0, 1e-13),
+    (lambda x: 1.0 / (1e-4 + x * x), lambda x: 1.0 / (1e-4 + x * x),
+     -math.inf, math.inf, 1e-13),
+    (lambda x: (math.sqrt(x), 1.0 / (1.0 + x * x)),
+     lambda x: np.array([np.sqrt(x), 1.0 / (1.0 + x * x)]), 0.0, 1.0, 1e-13),
+    (lambda x: (1.0 / (x * x), 1.0 / (0.01 + (x - 3.0) * (x - 3.0))),
+     lambda x: np.array([1.0 / (x * x), 1.0 / (0.01 + (x - 3.0) * (x - 3.0))]),
+     1.0, math.inf, 1e-12),
+], ids=["sqrt", "rational_whole_line", "rows", "rows_half_line"])
+def test_scalar_fallback_matches_the_vectorized_twin_on_every_sweep(
+        scalar, vector, lower, upper, rel_tol):
+    spec = QuadratureSpec(lower, upper, rel_tol=rel_tol)
+    probes = []
+    value = integrate(_scalar_only(scalar, probes), spec)
+    twin = integrate(vector, spec)
+    assert len(probes) > 1   # the fallback ran after the first batch too
+    assert type(value) is type(twin)
+    assert np.asarray(value).tobytes() == np.asarray(twin).tobytes()
 
 
 def test_package_error_in_first_batch_is_not_retried_as_scalars():
