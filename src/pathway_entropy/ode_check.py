@@ -175,7 +175,8 @@ def _sweep_window(case: OdeCase) -> tuple[float, float]:
     if math.isfinite(interval.upper):
         return 0.1 * interval.upper, 0.9 * interval.upper
     # the x at which the substituted variable t is 1
-    scale = _substitution(p)[2] ** (-1.0 / p.delta)
+    *_, t_scale = _substitution(p)
+    scale = t_scale ** (-1.0 / p.delta)
     top = 50.0 if p.alpha > 1.0 else 20.0
     return 0.1 * scale, top * scale
 

@@ -14,23 +14,22 @@ through three regimes without changing the other knobs:
 The alpha = 1 branch is selected by exact parameter equality and equals the
 two-sided limit of the others, so density curves vary continuously in alpha.
 
-Every distribution function comes from the substitution t = s|1-alpha| x^delta,
-which turns the kernel integral into a Beta (alpha != 1) or Gamma (alpha = 1)
-integral with shapes r = gamma/delta and q:
+Every distribution function comes from the substitution t = s|1-alpha| x^delta
+(t = beta s x^delta at alpha = 1): with shapes r = gamma/delta and q, t is
 
-    alpha < 1   t ~ Beta(r, beta/(1-alpha) + 1)
-    alpha = 1   beta*s*x^delta ~ Gamma(r)
-    alpha > 1   t ~ BetaPrime(r, beta/(alpha-1) - r), i.e. t/(1+t) ~ Beta(r, q)
+    alpha < 1   Beta(r, q),         q = beta/(1-alpha) + 1
+    alpha = 1   Gamma(r),           q = inf
+    alpha > 1   beta-prime(r, q),   q = beta/(alpha-1) - r, i.e. t/(1+t) ~ Beta(r, q)
 
-so the constant is a Beta or Gamma function, `cdf` is the regularized
-incomplete Beta or Gamma function, `quantile` is its exact inverse, and
-`sample` draws t with the generator's Beta and Gamma variates (Devroye,
-Non-Uniform Random Variate Generation, 1986, ch. IX) and maps it back to x.
-`normalizing_constant_quadrature` recomputes the constant by adaptive
-quadrature so the two routes can be checked against each other.
-For alpha > 1 the kernel decays like x^(gamma - 1 - delta*beta/(alpha-1)),
-hence integrability requires beta/(alpha-1) - gamma/delta > 0; violations
-raise NotNormalizable instead of silently returning an unnormalized kernel.
+The `_Law` table is the one place where each law is stated, one row each: its
+edge in t, the kernel's bracket in t, its Beta or Gamma normalizer, the
+regularized incomplete function for `cdf`, its exact inverse for `quantile`,
+and the generator's variates for `sample` (Devroye, Non-Uniform Random Variate
+Generation, 1986, ch. IX).  `_substitution` picks the row; the functions that
+read it do not test the regime.  `normalizing_constant_quadrature` recomputes
+the constant by quadrature as a cross-check.  Above order 1 the kernel decays
+like x^(gamma-1-delta*beta/(alpha-1)), so it is integrable only where q > 0;
+elsewhere NotNormalizable is raised, never an unnormalized kernel.
 
 The kernel is stated once, as `log_kernel` (log1p for the bracket), so large
 delta or extreme x never produce inf * 0.  `density` is exp(ln c + ln g), the
@@ -45,6 +44,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -96,47 +96,93 @@ class SupportInterval:
     upper: float
 
 
+class _Law(NamedTuple):
+    """The law of t in one regime; sp is scipy.special, rng a numpy Generator."""
+    edge: float             # the support's upper end in t
+    log_bracket: Callable   # (t, beta, |1-alpha|) -> ln of the bracket, weighted
+    log_norm: Callable      # (r, q) -> ln of the Beta or Gamma normalizer
+    cdf: Callable           # (sp, r, q, t) -> P(T <= t)
+    ppf: Callable           # (sp, r, q, u) -> the t with P(T <= t) = u
+    draw: Callable          # (rng, r, q, n) -> n variates of t
+
+
+def _beta_prime_cdf(sp, r: float, q: float, t: float) -> float:
+    if t <= 1.0:
+        return sp.betainc(r, q, t / (1.0 + t))
+    # beyond t = 1 the upper tail comes from 1/(1+t), which keeps its digits
+    # as t grows where t/(1+t) rounds to 1
+    return 1.0 - sp.betainc(q, r, 1.0 / (1.0 + t))
+
+
+def _beta_prime_ppf(sp, r: float, q: float, u: float) -> float:
+    if u <= 0.5:
+        w = sp.betaincinv(r, q, u)
+        return w / (1.0 - w)
+    # 1 - w from the complementary inverse keeps t = w/(1-w) finite and
+    # accurate far out in the power tail
+    v = sp.betaincinv(q, r, 1.0 - u)
+    return (1.0 - v) / v
+
+
+_BETA = _Law(
+    1.0, lambda t, beta, gap: beta / gap * np.log1p(-np.minimum(t, 1.0)),
+    lambda r, q: math.lgamma(r) + math.lgamma(q) - math.lgamma(r + q),
+    lambda sp, r, q, t: sp.betainc(r, q, min(t, 1.0)),
+    lambda sp, r, q, u: sp.betaincinv(r, q, u),
+    lambda rng, r, q, n: rng.beta(r, q, n))
+_GAMMA = _Law(
+    math.inf, lambda t, beta, gap: -t,
+    lambda r, q: math.lgamma(r),
+    lambda sp, r, q, t: sp.gammainc(r, t),
+    lambda sp, r, q, u: sp.gammaincinv(r, u),
+    lambda rng, r, q, n: rng.standard_gamma(r, n))
+# t/(1+t) is Beta(r, q), so the normalizer is B(r, q) as in the Beta row
+_BETA_PRIME = _Law(
+    math.inf, lambda t, beta, gap: -(beta / gap) * np.log1p(t),
+    _BETA.log_norm, _beta_prime_cdf, _beta_prime_ppf,
+    lambda rng, r, q, n: rng.standard_gamma(r, n) / rng.standard_gamma(q, n))
+
+
 def support(params: PathwayParams) -> SupportInterval:
     """[0, (s(1-alpha))^(-1/delta)] below alpha = 1, [0, inf) at and above."""
-    if params.alpha < 1.0:
-        return SupportInterval(0.0, _substitution(params)[2] ** (-1.0 / params.delta))
-    return SupportInterval(0.0, math.inf)
+    law, _, _, scale = _substitution(params)
+    return SupportInterval(0.0, _upper(params, law, scale))
+
+
+def _upper(params: PathwayParams, law: _Law, scale: float) -> float:
+    # an infinite edge stays infinite, where scale's power may leave the float range
+    return _x_of_t(params, scale, law.edge) if law.edge < math.inf else math.inf
 
 
 def is_normalizable(params: PathwayParams) -> bool:
-    """Kernel integrability over the support.
-
-    Automatic for alpha <= 1; for alpha > 1 the power tail must decay faster
-    than x^-1, i.e. the beta-prime shape q = beta/(alpha-1) - gamma/delta of
-    `_substitution` is positive.
-    """
-    return params.alpha <= 1.0 or _substitution(params)[1] > 0.0
+    """True when the shape q of `_substitution` is positive: always at and
+    below order 1, and above it when the power tail decays faster than x^-1."""
+    return _substitution(params)[2] > 0.0
 
 
-def _require_normalizable(params: PathwayParams) -> None:
-    if not is_normalizable(params):
+def _require_normalizable(params: PathwayParams) -> tuple[_Law, float, float, float]:
+    """`_substitution` of normalizable params; NotNormalizable otherwise."""
+    law, r, q, scale = _substitution(params)
+    if not q > 0.0:
         raise NotNormalizable(
             "kernel is not integrable: need beta_exp/(alpha-1) > gamma/delta "
             f"for alpha > 1, got {params}")
+    return law, r, q, scale
 
 
-def _substitution(params: PathwayParams) -> tuple[float, float | None, float]:
-    """(r, q, scale) of t = scale * x^delta: t is Beta(r, q) below order 1,
-    Gamma(r) at order 1 (q is None there) and beta-prime(r, q) above it."""
+def _substitution(params: PathwayParams) -> tuple[_Law, float, float, float]:
+    """(law, r, q, scale) of t = scale * x^delta: the row choice; q = inf at order 1."""
     a = params.alpha
-    b = params.beta_exp
-    s = params.s
     r = params.gamma / params.delta
     if a < 1.0:
-        return r, b / (1.0 - a) + 1.0, s * (1.0 - a)
+        return _BETA, r, params.beta_exp / (1.0 - a) + 1.0, params.s * (1.0 - a)
     if a > 1.0:
-        return r, b / (a - 1.0) - r, s * (a - 1.0)
-    return r, None, b * s
+        return _BETA_PRIME, r, params.beta_exp / (a - 1.0) - r, params.s * (a - 1.0)
+    return _GAMMA, r, math.inf, params.beta_exp * params.s
 
 
 def _x_of_t(params: PathwayParams, scale: float, t):
-    # scale^(-1/delta) is the support edge below order 1, and t <= 1 there,
-    # so the product never lands past the edge
+    # the product form keeps x within the edge x(t = 1) = scale^(-1/delta) for t <= 1
     return scale ** (-1.0 / params.delta) * t ** (1.0 / params.delta)
 
 
@@ -156,14 +202,8 @@ def _in_float_range(c: float, formula: str) -> float:
 
 def _log_constant(params: PathwayParams) -> float:
     """ln c = ln delta + r ln scale - ln B(r, q), or - ln Gamma(r) at order 1."""
-    _require_normalizable(params)
-    r, q, scale = _substitution(params)
-    log_shape = math.lgamma(r) if q is None else _log_beta(r, q)
-    return math.log(params.delta) + r * math.log(scale) - log_shape
-
-
-def _log_beta(p: float, q: float) -> float:
-    return math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q)
+    law, r, q, scale = _require_normalizable(params)
+    return math.log(params.delta) + r * math.log(scale) - law.log_norm(r, q)
 
 
 def normalizing_constant_quadrature(params: PathwayParams,
@@ -183,21 +223,18 @@ def normalizing_constant_quadrature(params: PathwayParams,
 
 
 def log_kernel(params: PathwayParams, x):
-    """log g(x), vectorized; -inf where the kernel vanishes (including
-    everywhere outside the support)."""
-    a = params.alpha
+    """log g(x) = (gamma-1) ln x + the law's bracket log at t = scale x^delta,
+    vectorized; -inf where the kernel vanishes, everywhere outside the support too."""
+    law, _, _, scale = _substitution(params)
     x = np.asarray(x, dtype=float)
-    inside = (x >= 0.0) & (x <= support(params).upper)
+    inside = (x >= 0.0) & (x <= _upper(params, law, scale))
     xi = np.where(inside, x, 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         power = (params.gamma - 1.0) * np.log(xi)   # -+inf at x = 0
         if params.gamma == 1.0:   # x^0 is 1 at the origin, not 0 * -inf
             power = np.where(xi == 0.0, 0.0, power)
-        if a == 1.0:
-            bracket = -params.beta_exp * params.s * xi ** params.delta
-        else:
-            t = params.s * (1.0 - a) * xi ** params.delta
-            bracket = (params.beta_exp / (1.0 - a)) * np.log1p(-np.minimum(t, 1.0))
+        t = scale * xi ** params.delta
+        bracket = law.log_bracket(t, params.beta_exp, abs(1.0 - params.alpha))
     out = np.where(inside, power + bracket, -math.inf)
     return out if out.ndim else float(out)
 
@@ -247,79 +284,42 @@ def _special():
 
 
 def cdf(params: PathwayParams, x: float) -> float:
-    """P(X <= x): the regularized incomplete Beta or Gamma function at the
-    substituted point t = s|1-alpha| x^delta."""
-    _require_normalizable(params)
+    """P(X <= x): the law's regularized incomplete function at t = scale x^delta."""
+    law, r, q, scale = _require_normalizable(params)
     x = float(x)
     if math.isnan(x):
         raise DomainError("cdf needs a number, got nan")
     if x <= 0.0:
         return 0.0
-    if x >= support(params).upper:
+    if x >= _upper(params, law, scale):
         return 1.0
-    r, q, scale = _substitution(params)
-    t = scale * x ** params.delta
-    sp = _special()
-    if q is None:
-        return float(sp.gammainc(r, t))
-    if params.alpha < 1.0:
-        return float(sp.betainc(r, q, min(t, 1.0)))
-    if t <= 1.0:
-        return float(sp.betainc(r, q, t / (1.0 + t)))
-    # beyond t = 1 the upper tail comes from 1/(1+t), which keeps its digits
-    # as t grows where t/(1+t) rounds to 1
-    return float(1.0 - sp.betainc(q, r, 1.0 / (1.0 + t)))
+    return float(law.cdf(_special(), r, q, scale * x ** params.delta))
 
 
 def quantile(params: PathwayParams, u: float) -> float:
     """Exact inverse of `cdf` through the inverse incomplete Beta or Gamma
-    function; exact endpoints at u = 0 and 1."""
+    function, exact at u = 0 and 1, where non-normalizable params raise too."""
     if not 0.0 <= u <= 1.0:
         raise DomainError(f"quantile level must lie in [0, 1], got {u}")
+    law, r, q, scale = _require_normalizable(params)
     if u == 0.0:
         return 0.0
     if u == 1.0:
-        return support(params).upper
-    _require_normalizable(params)
-    r, q, scale = _substitution(params)
-    sp = _special()
-    if q is None:
-        t = sp.gammaincinv(r, u)
-    elif params.alpha < 1.0:
-        t = sp.betaincinv(r, q, u)
-    elif u <= 0.5:
-        w = sp.betaincinv(r, q, u)
-        t = w / (1.0 - w)
-    else:
-        # 1 - w from the complementary inverse keeps t = w/(1-w) finite and
-        # accurate far out in the power tail
-        v = sp.betaincinv(q, r, 1.0 - u)
-        t = (1.0 - v) / v
-    return float(_x_of_t(params, scale, t))
+        return _upper(params, law, scale)
+    return float(_x_of_t(params, scale, law.ppf(_special(), r, q, u)))
 
 
 def sample(params: PathwayParams, n: int, seed: int) -> np.ndarray:
     """n draws from a seeded generator; deterministic per seed.
 
-    The substituted t is drawn directly, then mapped back to x: Beta(r, q)
-    variates below order 1, Gamma(r) at order 1, and the beta-prime ratio
-    Gamma(r)/Gamma(q) above it, which stays exact deep in the power tail.
-    These transforms are used instead of pushing uniforms through the exact
-    inverse because, on general shapes, the inverse incomplete Beta or Gamma
-    function costs ten to twenty times as much per draw.
+    t is drawn from its law (the beta-prime ratio Gamma(r)/Gamma(q) stays
+    exact deep in the power tail) and mapped back to x, at a tenth to a
+    twentieth of the cost of the exact inverse on general shapes.
     """
     if n < 0:
         raise DomainError("sample count must be non-negative")
-    _require_normalizable(params)
-    r, q, scale = _substitution(params)
-    rng = np.random.default_rng(seed)
-    if q is None:
-        t = rng.standard_gamma(r, n)
-    elif params.alpha < 1.0:
-        t = rng.beta(r, q, n)
-    else:
-        t = rng.standard_gamma(r, n) / rng.standard_gamma(q, n)
-    return _x_of_t(params, scale, t)
+    law, r, q, scale = _require_normalizable(params)
+    return _x_of_t(params, scale, law.draw(np.random.default_rng(seed), r, q, n))
 
 
 # Each named point: its free arguments with their defaults, the builder of

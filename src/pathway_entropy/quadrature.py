@@ -15,8 +15,9 @@ panel whose error is above its share (1/panels) of its row's tolerance.
 Endpoint power singularities x**p with p > -1 are resolved by refinement
 (panel nodes are strictly interior, so the integrand is never evaluated at
 the endpoints); a panel refined down to the float spacing, where its nodes
-collapse, raises NonConvergence.  A non-finite node value, or an integral
-that overflows the float range from finite ones, raises NonFinite.
+collapse or an outer node would round onto a finite endpoint, raises
+NonConvergence.  A non-finite node value, or an integral that overflows the
+float range from finite ones, raises NonFinite.
 """
 from __future__ import annotations
 
@@ -219,8 +220,10 @@ def integrate(f: Callable, spec: QuadratureSpec) -> float | np.ndarray:
 
     Raises NonConvergence when max_subdivisions bisections are not enough or
     a panel has narrowed to the float spacing (its midpoint rounds to an
-    endpoint), and NonFinite when a row of the integrand returns NaN or an
-    infinity at a node or its integral overflows the float range.
+    endpoint of the panel, or an outer node to an end of the interval, so f
+    is never evaluated at a finite end), and NonFinite when a row of the
+    integrand returns NaN or an infinity at a node or its integral overflows
+    the float range.
     """
     g, a, b, x_of = _fold_infinite(f, spec.lower, spec.upper)
 
@@ -228,8 +231,13 @@ def integrate(f: Callable, spec: QuadratureSpec) -> float | np.ndarray:
         with np.errstate(divide="ignore"):
             return float(x_of(np.float64(t)))
 
-    # only a half-width up to this spacing can have reached the float spacing
-    narrow = math.ulp(max(abs(a), abs(b)))
+    # only a half-width up to this many float spacings can have reached the
+    # float spacing, or put an outer node within a spacing of an end
+    narrow = math.ulp(max(abs(a), abs(b))) * 2.0 / (1.0 - _XGK[0])
+    # the ends no node may round onto: a finite interval's own; the ends of a
+    # folded one stand for infinite x, where `_fold_infinite` weights a node 0
+    finite = math.isfinite(spec.lower) and math.isfinite(spec.upper)
+    lo, hi = (a, b) if finite else (-math.inf, math.inf)
 
     panels = (b - a) * _HEAD_PANELS
     panels[0] += a
@@ -271,9 +279,12 @@ def integrate(f: Callable, spec: QuadratureSpec) -> float | np.ndarray:
                            np.concatenate((half, half))))
         if half.min() <= narrow:
             # a child whose midpoint equals an endpoint has nodes that
-            # collapse onto it: the float spacing is as fine as panels get
+            # collapse onto it, and one whose outer node rounds onto a finite
+            # end would evaluate f there: the float spacing is as fine as
+            # panels get
             mag = np.abs(panels[0])
-            flat = mag + panels[1] == mag
+            flat = ((mag + panels[1] == mag) | (panels[0] + panels[1] * _NODES[0] <= lo)
+                    | (panels[0] + panels[1] * _NODES[-1] >= hi))
             if flat.any():
                 raise NonConvergence(
                     f"panel at x={at(panels[0, np.argmax(flat)])!r} narrowed "

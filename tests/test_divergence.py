@@ -26,7 +26,7 @@ from pathway_entropy.entropy_discrete import (
     entropy_from_power_sum,
     shannon_limit_constant,
 )
-from pathway_entropy.errors import DomainError, InvalidOrder, NonFinite
+from pathway_entropy.errors import DomainError, InvalidOrder, NonConvergence, NonFinite
 from pathway_entropy.pathway import PathwayParams, as_density_spec
 
 
@@ -163,3 +163,19 @@ def test_expectation_residual_rejects_order_one():
         m_alpha_expectation_residual(uniform_density(0.0, 1.0), AlphaOrder(1.0))
     with pytest.raises(InvalidOrder):
         m_alpha_expectation_residual(uniform_density(0.0, 1.0), AlphaOrder(2.5))
+
+
+def test_continuous_inaccuracy_never_evaluates_the_assigned_density_at_an_end():
+    # q = 6x(1-x) vanishes at both ends of [0, 1]; a node that refinement
+    # towards 1 rounds onto 1.0 would read q = 0 as a zero density where f
+    # has mass.  E_f[q^(-1/2)] = pi/sqrt(6) is finite, so the integral either
+    # converges to it or stops at the float spacing.
+    f = DensitySpec(lambda x: np.ones_like(x), 0.0, 1.0)
+    q = DensitySpec(lambda x: 6.0 * x * (1.0 - x), 0.0, 1.0)
+    expected = (math.pi / math.sqrt(6.0) - 1.0) / (2.0 ** 0.5 - 1.0)
+    try:
+        value = kerridge_inaccuracy(InaccuracyInput(f, q, AlphaOrder(0.5)))
+    except NonConvergence as exc:
+        assert "float spacing" in str(exc)
+    else:
+        assert value == pytest.approx(expected, rel=1e-8)

@@ -83,6 +83,14 @@ def test_not_normalizable_boundary():
         normalizing_constant(flat)
     with pytest.raises(NotNormalizable):
         density(flat, 1.0)
+    # every distribution function checks first, the exact quantile ends too
+    for u in (0.0, 0.5, 1.0):
+        with pytest.raises(NotNormalizable):
+            quantile(flat, u)
+    with pytest.raises(NotNormalizable):
+        cdf(flat, 0.0)
+    with pytest.raises(NotNormalizable):
+        sample(flat, 1, seed=0)
     # kernel evaluation stays available for non-normalizable params
     assert kernel(flat, 1.0) == pytest.approx(0.5)
 
@@ -248,6 +256,19 @@ def test_cdf_matches_quadrature_oracle(params):
 def test_cdf_saturates_at_the_upper_end(params):
     assert cdf(params, math.inf) == 1.0
     assert cdf(params, support(params).upper) == 1.0
+    assert quantile(params, 1.0) == support(params).upper
+
+
+@pytest.mark.parametrize("params", REGIMES)
+def test_lower_end_and_finite_edges_are_exact(params):
+    assert quantile(params, 0.0) == 0.0
+    # the kernel vanishes one float past each finite edge of the support
+    interval = support(params)
+    assert log_kernel(params, np.nextafter(interval.lower, -math.inf)) == -math.inf
+    if math.isfinite(interval.upper):
+        assert log_kernel(params, np.nextafter(interval.upper, math.inf)) == -math.inf
+    for x in (5e-324, 1e-320):
+        assert math.isfinite(log_kernel(params, x))
 
 
 @pytest.mark.parametrize("params", (TYPE2_GEN, HEAVY, STEEP))
