@@ -412,7 +412,7 @@ def solve(problem: MaxEntProblem) -> MaxEntSolution:
 
     Returns the stationary-family density tabulated on the grid.  Raises
     Infeasible when a target cannot be met by any density on the span and
-    NonConvergence when the multiplier iteration fails.
+    NonConvergence, with its own reason, when the one Newton run fails.
     """
     if problem.variant is not MaxEntVariant.PLAIN:
         raise DomainError("solve handles plain problems; use solve_escort")
@@ -421,20 +421,10 @@ def solve(problem: MaxEntProblem) -> MaxEntSolution:
     for con in problem.constraints:
         _check_attainable(con.exponent, con.target, lower, upper)
 
-    # Start from the uniform density on the span (the unconstrained
-    # maximizer), retrying from rescaled multipliers if Newton stalls.
-    lam_uniform = (2.0 - alpha) * (1.0 / (upper - lower)) ** (1.0 - alpha)
+    # one Newton run, from the uniform density (the unconstrained maximizer)
     lam0 = np.zeros(len(problem.constraints) + 1)
-    lam0[0] = lam_uniform
-    last: NonConvergence | None = None
-    for factor in (1.0, 0.5, 2.0, 0.1, 10.0):
-        try:
-            lam = _newton(problem, lam0 * factor)
-            break
-        except NonConvergence as exc:
-            last = exc
-    else:
-        raise last if last is not None else NonConvergence("no multiplier fit")
+    lam0[0] = (2.0 - alpha) * (1.0 / (upper - lower)) ** (1.0 - alpha)
+    lam = _newton(problem, lam0)
 
     dens = stationary_density(problem.order, lam, problem.exponents)(problem.grid)
     return MaxEntSolution(

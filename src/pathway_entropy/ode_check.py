@@ -36,7 +36,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError
-from .pathway import PathwayParams, _substitution, kernel, support
+from .pathway import PathwayParams, _substitution, _x_of_t, kernel, support
 
 __all__ = [
     "OdeReduction",
@@ -174,9 +174,9 @@ def _sweep_window(case: OdeCase) -> tuple[float, float]:
     interval = support(case.params)
     if math.isfinite(interval.upper):
         return 0.1 * interval.upper, 0.9 * interval.upper
-    # the x at which the substituted variable t is 1
+    # the x at which the substituted variable t is 1; NonFinite past the float range
     *_, t_scale = _substitution(p)
-    scale = t_scale ** (-1.0 / p.delta)
+    scale = _x_of_t(p, t_scale, 1.0)
     top = 50.0 if p.alpha > 1.0 else 20.0
     return 0.1 * scale, top * scale
 

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -115,13 +116,17 @@ def _beta_prime_cdf(sp, r: float, q: float, t: float) -> float:
 
 
 def _beta_prime_ppf(sp, r: float, q: float, u: float) -> float:
+    # t = w/(1-w) with w ~ Beta(r, q).  Past w = 1/2, 1 - w from the
+    # complementary inverse keeps t accurate far out in the power tail, where w
+    # itself rounds to 1.  Below u = 2^-8 the direct inverse stays, since 1 - u
+    # would lose more than 2^-45 of u's relative precision.  A t past the float
+    # range is inf.
     if u <= 0.5:
-        w = sp.betaincinv(r, q, u)
-        return w / (1.0 - w)
-    # 1 - w from the complementary inverse keeps t = w/(1-w) finite and
-    # accurate far out in the power tail
-    v = sp.betaincinv(q, r, 1.0 - u)
-    return (1.0 - v) / v
+        w = float(sp.betaincinv(r, q, u))
+        if not w > 0.5 or u < 2.0 ** -8:
+            return w / (1.0 - w) if w < 1.0 else math.inf
+    v = float(sp.betaincinv(q, r, 1.0 - u))
+    return (1.0 - v) / v if v > 0.0 else math.inf
 
 
 _BETA = _Law(
@@ -150,8 +155,12 @@ def support(params: PathwayParams) -> SupportInterval:
 
 
 def _upper(params: PathwayParams, law: _Law, scale: float) -> float:
-    # an infinite edge stays infinite, where scale's power may leave the float range
-    return _x_of_t(params, scale, law.edge) if law.edge < math.inf else math.inf
+    # an infinite edge stays infinite, and so does a finite one past the float
+    # range: inf is its float rounding, and every float x >= 0 lies inside it
+    try:
+        return _x_of_t(params, scale, law.edge) if law.edge < math.inf else math.inf
+    except NonFinite:
+        return math.inf
 
 
 def is_normalizable(params: PathwayParams) -> bool:
@@ -182,8 +191,22 @@ def _substitution(params: PathwayParams) -> tuple[_Law, float, float, float]:
 
 
 def _x_of_t(params: PathwayParams, scale: float, t):
-    # the product form keeps x within the edge x(t = 1) = scale^(-1/delta) for t <= 1
-    return scale ** (-1.0 / params.delta) * t ** (1.0 / params.delta)
+    """x = (t/scale)^(1/delta) of a float t >= 0, or of an array of them under an
+    errstate that lets powers overflow; NonFinite where x is inf or nan."""
+    power = 1.0 / params.delta
+    try:
+        # the product form keeps x within the edge x(t = 1) = scale^(-1/delta) for t <= 1
+        x = scale ** -power * t ** power
+    except OverflowError:
+        # a factor is past the float range, where the quotient can still be inside it
+        try:
+            x = (t / scale) ** power
+        except OverflowError:
+            x = math.inf
+    inside = x < math.inf
+    if not (inside.all() if isinstance(inside, np.ndarray) else inside):
+        raise NonFinite(f"x = (t/{scale!r})^(1/{params.delta!r}) is not a finite float")
+    return x
 
 
 def normalizing_constant(params: PathwayParams) -> float:
@@ -224,10 +247,12 @@ def normalizing_constant_quadrature(params: PathwayParams,
 
 def log_kernel(params: PathwayParams, x):
     """log g(x) = (gamma-1) ln x + the law's bracket log at t = scale x^delta,
-    vectorized; -inf where the kernel vanishes, everywhere outside the support too."""
-    law, _, _, scale = _substitution(params)
+    vectorized; -inf where the kernel vanishes, everywhere outside the support too.
+    At x = inf it is the limit as x grows."""
+    law, _, q, scale = _substitution(params)
     x = np.asarray(x, dtype=float)
-    inside = (x >= 0.0) & (x <= _upper(params, law, scale))
+    # x = inf counts as outside: -inf is its limit wherever the kernel decays
+    inside = (x >= 0.0) & (x <= min(_upper(params, law, scale), sys.float_info.max))
     xi = np.where(inside, x, 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         power = (params.gamma - 1.0) * np.log(xi)   # -+inf at x = 0
@@ -236,6 +261,13 @@ def log_kernel(params: PathwayParams, x):
         t = scale * xi ** params.delta
         bracket = law.log_bracket(t, params.beta_exp, abs(1.0 - params.alpha))
     out = np.where(inside, power + bracket, -math.inf)
+    # Above order 1, g behaves like x^(-1 - delta q) as x grows.  A kernel that
+    # does not decay (delta q <= -1, never normalizable) rises without bound,
+    # or at delta q = -1 tends to scale^(-beta/(alpha-1)).
+    tail = params.delta * q
+    if tail <= -1.0:
+        limit = -params.beta_exp / (params.alpha - 1.0) * math.log(scale)
+        out = np.where(x == math.inf, limit if tail == -1.0 else math.inf, out)
     return out if out.ndim else float(out)
 
 
@@ -306,7 +338,8 @@ def quantile(params: PathwayParams, u: float) -> float:
         return 0.0
     if u == 1.0:
         return _upper(params, law, scale)
-    return float(_x_of_t(params, scale, law.ppf(_special(), r, q, u)))
+    # a Python float t: a power past the float range raises, where numpy warns
+    return _x_of_t(params, scale, float(law.ppf(_special(), r, q, u)))
 
 
 def sample(params: PathwayParams, n: int, seed: int) -> np.ndarray:
@@ -319,7 +352,9 @@ def sample(params: PathwayParams, n: int, seed: int) -> np.ndarray:
     if n < 0:
         raise DomainError("sample count must be non-negative")
     law, r, q, scale = _require_normalizable(params)
-    return _x_of_t(params, scale, law.draw(np.random.default_rng(seed), r, q, n))
+    # a draw of t or x past the float range comes out inf, which `_x_of_t` raises
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return _x_of_t(params, scale, law.draw(np.random.default_rng(seed), r, q, n))
 
 
 # Each named point: its free arguments with their defaults, the builder of

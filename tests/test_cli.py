@@ -139,6 +139,18 @@ def test_large_shape_table_exits_zero(capsys):
     assert all(0.0 < row[1] < 100.0 for row in rows)
 
 
+def test_table_with_an_edge_past_the_float_range_exits_zero(capsys):
+    # the support edge (5e-11)^-100 rounds to inf; the constant e^-2357
+    # underflows, so the density and the cdf are 0 at x = 1 and 2
+    code, out, err = run_capture(
+        capsys, "pathway", "--alpha", "0.5", "--gamma", "1", "--delta", "0.01",
+        "--s", "1e-10", "--table", "1:2:1", "--with-cdf")
+    assert code == 0 and err == ""
+    header, rows = read_csv_text(out)
+    assert header == ["x", "density", "cdf"]
+    assert rows == [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]
+
+
 def test_csv_round_trip_bit_identical(tmp_path, capsys):
     out_path = tmp_path / "solution.csv"
     code = run(["maxent", "--alpha", "0.5", "--grid", "0:2:0.1",

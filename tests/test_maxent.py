@@ -658,6 +658,36 @@ def test_newton_budget_ends(monkeypatch):
                             (MomentConstraint(1.0, 0.3),)))
 
 
+# m2 = 0.2 lies below m1^2 = 0.25: no density on [0, 1] has these moments
+UNREACHABLE = (MomentConstraint(1.0, 0.5), MomentConstraint(2.0, 0.2))
+
+
+@pytest.mark.parametrize("problem,error", [
+    (delta_problem(), None),
+    (MaxEntProblem(np.linspace(0.0, 1.0, 101), AlphaOrder(0.5), UNREACHABLE),
+     NonConvergence),
+    (MaxEntProblem(np.linspace(0.0, 1.0, 101), AlphaOrder(1.5), UNREACHABLE),
+     NonConvergence),
+], ids=["one_moment", "unreachable_below_one", "unreachable_above_one"])
+def test_a_fit_is_one_newton_run(monkeypatch, problem, error):
+    # a fit starts once, from the uniform density; a failed run's own
+    # NonConvergence is the fit's, with no restart
+    runs = []
+    newton = maxent._newton
+
+    def counting(*args):
+        runs.append(args)
+        return newton(*args)
+
+    monkeypatch.setattr(maxent, "_newton", counting)
+    if error is None:
+        solve(problem)
+    else:
+        with pytest.raises(error):
+            solve(problem)
+    assert len(runs) == 1
+
+
 @pytest.mark.parametrize("lam3", [0.0, 2.0 ** -20], ids=["start", "first_rung"])
 def test_escort_target_met_exactly_on_the_ladder(lam3):
     # a target equal to the escort mean at the start coefficient 0, or at

@@ -11,6 +11,7 @@ from scipy import stats
 from pathway_entropy.entropy_continuous import continuous_entropy
 from pathway_entropy.entropy_discrete import SHANNON, TSALLIS, AlphaOrder
 from pathway_entropy.errors import DomainError, NonFinite, NotNormalizable, UnknownName
+from pathway_entropy.ode_check import OdeCase, residual_sweep
 from pathway_entropy.pathway import (
     SPECIAL_CASE_NAMES,
     PathwayParams,
@@ -37,6 +38,10 @@ WIGNER = PathwayParams(alpha=2.0, gamma=1.0, delta=2.0, s=1.0)
 TYPE1_GEN = PathwayParams(alpha=0.7, gamma=1.3, delta=2.0, s=1.1, beta_exp=1.4)
 TYPE2_GEN = PathwayParams(alpha=1.6, gamma=1.2, delta=1.1, s=0.9, beta_exp=1.3)
 LIMIT_GEN = PathwayParams(alpha=1.0, gamma=2.5, delta=1.5, s=0.8, beta_exp=1.2)
+# finite support whose edge (5e-11)^-100 is past the float range, and the
+# order-1 set whose scale power is
+BEYOND_FLOAT_EDGE = PathwayParams(alpha=0.5, gamma=1.0, delta=0.01, s=1e-10)
+BEYOND_FLOAT_SCALE = PathwayParams(alpha=1.0, gamma=1.0, delta=0.01, s=1e-10)
 
 # frozen from 50-digit evaluation of the Beta/Gamma closed forms, each
 # cross-checked there against independent high-precision quadrature
@@ -74,6 +79,9 @@ def test_support_regimes():
     assert support(QEXP).upper == math.inf
     assert support(EXPO).upper == math.inf
     assert support(HAND).lower == 0.0
+    # inf is the float rounding of an edge past the float range: every
+    # float x >= 0 lies inside it
+    assert support(BEYOND_FLOAT_EDGE).upper == math.inf
 
 
 def test_not_normalizable_boundary():
@@ -132,6 +140,16 @@ def test_log_kernel_extremes():
     spike = PathwayParams(alpha=1.0, gamma=0.5, delta=1.0, s=1.0)
     assert log_kernel(spike, 0.0) == math.inf
     assert math.exp(log_kernel(spike, 1e300)) == 0.0
+    # at x = inf, the limit of g ~ x^(-1 - delta q): here q = beta/(alpha-1) - r
+    # is -2 (g ~ x, not normalizable) and -1 (g -> (s(alpha-1))^(-2) = 4)
+    rising = PathwayParams(alpha=2.0, gamma=3.0)
+    level = PathwayParams(alpha=1.5, gamma=3.0)
+    assert log_kernel(rising, math.inf) == math.inf
+    assert log_kernel(level, math.inf) == pytest.approx(math.log(4.0), rel=1e-15)
+    assert kernel(level, np.array([math.inf, 1e300])) == pytest.approx([4.0, 4.0])
+    # an edge past the float range: ln g(2) = 2 ln(1 - 5e-11 * 2^0.01)
+    assert log_kernel(BEYOND_FLOAT_EDGE, 2.0) == pytest.approx(
+        2.0 * math.log1p(-5e-11 * 2.0 ** 0.01), rel=1e-12)
     assert normalizing_constant_quadrature(spike) == pytest.approx(
         normalizing_constant(spike), rel=1e-8)
 
@@ -169,6 +187,7 @@ def test_cdf_closed_forms():
     assert cdf(WIGNER, 1.0) == pytest.approx(0.5, abs=1e-10)
     assert cdf(HAND, 0.0) == 0.0
     assert cdf(HAND, -1.0) == 0.0
+    assert cdf(BEYOND_FLOAT_EDGE, 2.0) == 0.0
 
 
 def test_cdf_frozen_generic():
@@ -188,6 +207,11 @@ def test_quantile_endpoints_and_roundtrip():
             assert quantile(params, cdf(params, x)) == pytest.approx(x, abs=1e-6)
     with pytest.raises(DomainError):
         quantile(HAND, 1.5)
+    # r = 2, q = 0.01: the median of w = t/(1+t) rounds to 1, so t comes from
+    # the complementary inverse; the reference is the 40-digit median of the
+    # beta-prime law
+    heavy = PathwayParams(alpha=2.0, gamma=2.0, delta=1.0, s=1.0, beta_exp=2.01)
+    assert quantile(heavy, 0.5) == pytest.approx(3.4287588743768797e30, rel=1e-12)
 
 
 def test_sampling_deterministic_and_in_support():
@@ -252,14 +276,14 @@ def test_cdf_matches_quadrature_oracle(params):
         assert cdf(params, x) == pytest.approx(mass, abs=1e-9)
 
 
-@pytest.mark.parametrize("params", REGIMES)
+@pytest.mark.parametrize("params", REGIMES + (BEYOND_FLOAT_EDGE,))
 def test_cdf_saturates_at_the_upper_end(params):
     assert cdf(params, math.inf) == 1.0
     assert cdf(params, support(params).upper) == 1.0
     assert quantile(params, 1.0) == support(params).upper
 
 
-@pytest.mark.parametrize("params", REGIMES)
+@pytest.mark.parametrize("params", REGIMES + (BEYOND_FLOAT_EDGE,))
 def test_lower_end_and_finite_edges_are_exact(params):
     assert quantile(params, 0.0) == 0.0
     # the kernel vanishes one float past each finite edge of the support
@@ -269,6 +293,10 @@ def test_lower_end_and_finite_edges_are_exact(params):
         assert log_kernel(params, np.nextafter(interval.upper, math.inf)) == -math.inf
     for x in (5e-324, 1e-320):
         assert math.isfinite(log_kernel(params, x))
+    # and at x = inf, where every normalizable kernel vanishes
+    assert log_kernel(params, math.inf) == -math.inf
+    assert kernel(params, np.array([math.inf])).tolist() == [0.0]
+    assert density(params, math.inf) == as_density_spec(params).pdf(math.inf) == 0.0
 
 
 @pytest.mark.parametrize("params", (TYPE2_GEN, HEAVY, STEEP))
@@ -417,6 +445,23 @@ def test_constant_outside_the_float_range_is_non_finite(params, quadrature_match
     # overflows where c underflows
     with pytest.raises(NonFinite, match=quadrature_match):
         normalizing_constant_quadrature(params)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: quantile(BEYOND_FLOAT_EDGE, 0.5),
+    lambda: quantile(BEYOND_FLOAT_SCALE, 0.5),
+    lambda: sample(BEYOND_FLOAT_EDGE, 4, seed=0),
+    lambda: residual_sweep(OdeCase(BEYOND_FLOAT_EDGE), 5),
+    lambda: residual_sweep(OdeCase(BEYOND_FLOAT_SCALE), 5),
+    # the true quantile is near 10^377.3
+    lambda: quantile(PathwayParams(1.4288881707620376, 1.8443352334771512,
+                                   0.8164051549613847, 0.2765310681262507,
+                                   0.9856824928762806), 1.0 - 1e-12),
+], ids=["quantile_edge", "quantile_order_one", "sample", "sweep_edge",
+        "sweep_order_one", "quantile_power_tail"])
+def test_x_past_the_float_range_is_non_finite(build):
+    with pytest.raises(NonFinite, match="is not a finite float"):
+        build()
 
 
 @pytest.mark.parametrize("build,match", [
