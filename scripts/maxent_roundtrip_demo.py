@@ -1,11 +1,14 @@
 """Round-trip demonstrations for the constrained-entropy solver.
 
-Three exercises, each starting from a density whose maximum-entropy
+Six exercises, each starting from a density whose maximum-entropy
 characterization is known in closed form:
 
   1. single power-moment constraint, order 0.5 on [0, 2]
   2. two power-moment constraints (exponents 0.5 and 1.5), same interval
   3. escort-averaged first moment, order 1.5 on [0, 50]
+  4. escort-averaged moment below order 1 (0.6), the support edge inside the span
+  5. the same at order 0, where the escort weight is 1 up to the edge
+  6. the same at order 0.5 on a span that starts at 1, not at 0
 
 For each, the matching moment targets are computed from the generating
 density by quadrature, the solver runs on those targets alone, and the
@@ -25,6 +28,7 @@ from pathway_entropy import (
     cdf,
     density,
     integrate,
+    support,
     solve,
     solve_escort,
 )
@@ -56,6 +60,27 @@ def report(label, sol, truth, grid):
     print(f"    max density gap  {gap:.3e}")
     print(f"    euler residual   {sol.euler_residual:.3e}")
     return gap
+
+
+def escort_below_one(alpha, delta, s, lower):
+    # the gamma = 1 pathway kernel is the escort family with lam3 =
+    # -s(1 - alpha), whose support ends at an edge inside the span [lower,
+    # 1.2 edge]; the target is its escort mean of x^delta, under the weight
+    # f^alpha, which vanishes past the edge like f
+    params = PathwayParams(alpha=alpha, gamma=1.0, delta=delta, s=s)
+    edge = support(params).upper
+    grid = np.linspace(lower, 1.2 * edge, 301)
+    spec = QuadratureSpec(lower, edge, rel_tol=1e-12, abs_tol=1e-14)
+    mass = integrate(lambda x: density(params, x) ** alpha, spec)
+    target = integrate(lambda x: x ** delta * density(params, x) ** alpha, spec) / mass
+    problem = MaxEntProblem(
+        grid=grid, order=AlphaOrder(alpha),
+        constraints=(MomentConstraint(delta, target),),
+        variant=MaxEntVariant.ESCORT)
+    sol = solve_escort(problem, delta)
+    truth = density(params, grid) / (1.0 - cdf(params, lower))
+    return report(f"escort order {alpha:g} on [{lower:g}, {grid[-1]:.4g}]  "
+                  f"E_escort[x^{delta:g}] = {target:.12g}", sol, truth, grid)
 
 
 def main() -> int:
@@ -90,6 +115,8 @@ def main() -> int:
     truth = density(params, grid50) / cdf(params, 50.0)
     gaps.append(report("escort moment   E_escort[x] = %.12g" % (50.0 / 27.0),
                        sol, truth, grid50))
+    gaps += [escort_below_one(0.6, 2.0, 0.5, 0.0), escort_below_one(0.0, 1.5, 1.0, 0.0),
+             escort_below_one(0.5, 1.0, 4.0 / 3.0, 1.0)]
     # written so that a NaN gap fails too
     if not all(gap <= GAP_LIMIT for gap in gaps):
         print(f"FAIL: a max density gap is not within {GAP_LIMIT:g}")

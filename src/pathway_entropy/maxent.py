@@ -26,8 +26,8 @@ Each Newton candidate costs one vector-valued quadrature pass: the bracket
 is evaluated once per node, and the rows x**e_j f (the constraint gaps) and
 x**(e_j + e_k) f^alpha (the Jacobian) share the panels.  The Jacobian of the
 accepted candidate drives the next step, so there is no separate Jacobian
-pass; the escort mean likewise takes its numerator and denominator from one
-two-row pass.
+pass; the escort fit likewise takes its mean and the mean's slope from one
+pass.
 
 For alpha < 1 the family exponent 1/(1-alpha) is positive and the bracket
 clamps at zero, which is where compact support comes from.  For alpha > 1
@@ -45,6 +45,28 @@ the escort weight f^alpha has a negative exponent, so lam3 stays above
 0 <= alpha < 1 a negative lam3 ends the support at (-1/lam3)**(1/delta), and
 the escort integrals stop at that edge; at order 0 the weight f^0 is a step
 there, which only the edge, not bisection, resolves exactly.
+
+lam3 is fitted by safeguarded Newton (rtsafe; Numerical Recipes, 3rd ed.,
+9.4) on the escort mean m of y = x**delta under w = b**p, with b = 1 +
+lam3 y and p = alpha/(1-alpha).  Its slope is p Cov_w(y, y/b), and both
+factors rise with y, so m is monotone in lam3 (rising for 0 <= alpha < 1,
+falling otherwise) and the sign of m(0) - target says where the root lies.
+Every step stays inside the current sign-change bracket: a Newton step that
+leaves it, or fails to halve the last step, gives way to bisection, or to
+doubling outward while only one side is known.  The slope comes from the
+pass that gives m, in one of two forms:
+
+  lam3 >= 0   b >= 1 on the span, and two more rows give
+              m' = p (E_w[y^2/b] - m E_w[y/b])
+  lam3 < 0    no more rows: with z = (-1/lam3)**(1/delta), x = z s leaves
+              lam3 only in the limits of integration, and
+              m' = -(delta m + [x w (y - m)] from lower to upper / D) / (delta lam3)
+              with D the integral of w and w taken at the span's ends
+
+The rows y^2 w/b carry b**(p-1), singular where b vanishes: at the support
+edge below order 1 and at the floor -1/upper**delta.  A zero of b within
+1e-8 of upper leaves them unconverged where the mean's own rows converge,
+so they are only formed where b >= 1.
 """
 from __future__ import annotations
 
@@ -63,7 +85,7 @@ from .errors import (
     NonConvergence,
     NonFinite,
 )
-from .quadrature import QuadratureSpec, find_root, integrate
+from .quadrature import QuadratureSpec, integrate
 
 __all__ = [
     "MaxEntVariant",
@@ -444,20 +466,38 @@ def _escort_top(alpha: float, lam3: float, delta: float, upper: float) -> float:
 
 
 def _escort_mean(alpha: float, lam3: float, delta: float, lower: float,
-                 upper: float) -> float:
-    # numerator and denominator in one two-row pass over shared nodes
+                 upper: float) -> tuple[float, float]:
+    # The escort mean m of y = x**delta under the weight w = b**p, with
+    # b = 1 + lam3*y and p = alpha/(1-alpha), and its slope dm/dlam3, from
+    # one pass over shared nodes; see the module docstring for both forms.
+    # w is taken relative to its peak, which is at an end of the span, so no
+    # row overflows however far the search takes lam3.
     power = alpha / (1.0 - alpha)
+    ends = np.array((lower, upper))
+    ends_delta = np.power(ends, delta)
+    b_ends = 1.0 + lam3 * ends_delta
+    peak = np.max(b_ends) if power >= 0.0 else max(np.min(b_ends), _POS_FLOOR)
+
+    def weight(y: np.ndarray) -> np.ndarray:
+        return _clipped_power((1.0 + lam3 * y) / peak, power, alpha < 1.0)
 
     def rows(x: np.ndarray) -> np.ndarray:
-        x_delta = np.power(np.asarray(x, dtype=float), delta)
-        weight = _clipped_power(1.0 + lam3 * x_delta, power, alpha < 1.0)
-        return np.array((x_delta * weight, weight))
+        y = np.power(np.asarray(x, dtype=float), delta)
+        w = weight(y)
+        if lam3 < 0.0:
+            return np.array((y * w, w))
+        yw_b = y * w / (1.0 + lam3 * y)
+        return np.array((y * w, w, y * yw_b, yw_b))
 
     top = _escort_top(alpha, lam3, delta, upper)
-    num, den = _integrate(rows, lower, top) if top > lower else (0.0, 0.0)
-    if den <= 0.0:
+    sums = _integrate(rows, lower, top).tolist() if top > lower else [0.0, 0.0]
+    if sums[1] <= 0.0:
         raise NonFinite("escort weight carried no mass on the span")
-    return num / den
+    mean = sums[0] / sums[1]
+    if lam3 >= 0.0:
+        return mean, power * (sums[2] - mean * sums[3]) / sums[1]
+    flux = (ends * weight(ends_delta) * (ends_delta - mean)).tolist()
+    return mean, -(delta * mean + (flux[0] - flux[1]) / sums[1]) / (delta * lam3)
 
 
 def solve_escort(problem: MaxEntProblem, delta: float = 1.0, *,
@@ -527,40 +567,66 @@ def solve_escort(problem: MaxEntProblem, delta: float = 1.0, *,
 
 def _fit_lambda3(alpha: float, delta: float, target: float, lower: float,
                  upper: float) -> float:
-    def gap(lam3: float) -> float:
-        return _escort_mean(alpha, lam3, delta, lower, upper) - target
+    # Safeguarded Newton in lam3; see the module docstring.  The gap's sign
+    # at 0 says on which side the root lies, and that side ends at `far`:
+    # below the floor -1/upper**delta for p < 0 the weight is infinite on
+    # the span, and below -1/lower**delta for 0 <= alpha < 1 the support ends
+    # before the span starts; otherwise the search may expand as far as
+    # |lam3| * upper**delta = 2**61.  `near` is the last point on the start's
+    # side of the root; a point found on the other side replaces `far`, and
+    # every later step stays inside the bracket (near, far).
+    def gap(lam3: float) -> tuple[float, float]:
+        mean, slope = _escort_mean(alpha, lam3, delta, lower, upper)
+        return mean - target, slope
 
-    # Under the weight (1 + lam3 x**delta)**p, p = alpha/(1-alpha), the escort
-    # mean of x**delta has derivative p * Cov(x**delta, x**delta/(1 + lam3
-    # x**delta)).  Both rise with x**delta, so by Chebyshev's sum inequality
-    # the covariance is >= 0 and the mean moves only in the direction of p:
-    # one geometric ladder, up or down, brackets every reachable target.  At
-    # p = 0 (alpha = 0) the weight is 1 up to the support edge, which moves
-    # up with a negative lam3, so the mean rises with lam3 as for p > 0.  The
-    # bracket must stay positive on the span when p < 0 (alpha > 1 or
-    # alpha < 0), where the weight is infinite at a zero of the bracket;
-    # that bounds lam3 below.
-    g_here, l_here = gap(0.0), 0.0
-    if g_here == 0.0:
-        return 0.0
-    if (g_here < 0.0) == (0.0 <= alpha < 1.0):
-        ladder = [2.0 ** k for k in range(-20, 62)]
-    elif alpha > 1.0 or alpha < 0.0:
-        floor = -1.0 / upper ** delta
-        ladder = [floor + (0.0 - floor) * 0.5 ** k for k in range(1, 50)]
+    lam = near = 0.0
+    g, slope = gap(lam)
+    if g == 0.0:
+        return lam
+    start_below = g < 0.0
+    reach = 2.0 ** 61 / upper ** delta
+    if start_below == (0.0 <= alpha < 1.0):
+        far = math.inf
+    elif not 0.0 <= alpha < 1.0:
+        far = -1.0 / upper ** delta
     else:
-        ladder = [-(2.0 ** k) for k in range(-20, 60)]
-    for cand in ladder:
+        far = -1.0 / lower ** delta if lower > 0.0 else -math.inf
+    bracketed, last = False, math.inf
+    for _ in range(_MAX_NEWTON):
+        step = -g / slope if slope else math.nan
+        if abs(step) <= 1e-13 * max(1.0, abs(lam)):
+            return lam + step
+        # a Newton step must land inside (near, far) and, once bracketed,
+        # halve the last step at least, or it gives way to bisection; while
+        # `far` is still open the search doubles outward instead
+        cand = lam + step
+        if not (min(near, far) < cand < max(near, far) and abs(cand) <= reach
+                and not (bracketed and abs(2.0 * step) > abs(last))):
+            if bracketed or math.isfinite(far):
+                cand = near + 0.5 * (far - near)
+                if bracketed and abs(cand - lam) <= 1e-13 * max(1.0, abs(cand)):
+                    return cand
+            else:
+                cand = 2.0 * (lam or math.copysign(upper ** -delta, far))
+                if abs(cand) > reach:
+                    break
+        last = cand - lam
         try:
-            g_cand = gap(cand)
+            g, slope = gap(cand)
         except (NonFinite, NonConvergence):
-            # Off the end of the usable coefficient range: integrals diverge
-            # (or overflow) there, so stop expanding.
+            if bracketed:
+                raise
+            # off the end of the usable coefficient range: the integrals
+            # diverge (or overflow) there, so stop expanding
             break
-        if g_cand == 0.0:
+        if g == 0.0:
             return cand
-        if (g_cand < 0.0) != (g_here < 0.0):
-            return find_root(gap, sorted((l_here, cand)), tol=1e-13)
-        g_here, l_here = g_cand, cand
+        lam = cand
+        if (g < 0.0) == start_below:
+            near = cand
+        else:
+            far, bracketed = cand, True
+    if bracketed:
+        raise NonConvergence("escort coefficient iteration exhausted its budget")
     raise Infeasible("no bracket coefficient reaches the escort target on "
                      "this span")

@@ -115,6 +115,16 @@ def _beta_prime_cdf(sp, r: float, q: float, t: float) -> float:
     return 1.0 - sp.betainc(q, r, 1.0 / (1.0 + t))
 
 
+def _beta_ppf(sp, r: float, q: float, u: float) -> float:
+    # Far down the lower tail betaincinv returns nan (at r, q, u = 3.2368,
+    # 3.1822, 1e-300) or the smallest normal float (at 0.5, 2, 1e-200); there
+    # I_w(r, q) = w^r / (r B(r, q)) * (1 + O(w)) is inverted in logs instead.
+    w = float(sp.betaincinv(r, q, u))
+    if w > sys.float_info.min:
+        return w
+    return math.exp((math.log(u) + math.log(r) + _BETA.log_norm(r, q)) / r)
+
+
 def _beta_prime_ppf(sp, r: float, q: float, u: float) -> float:
     # t = w/(1-w) with w ~ Beta(r, q).  Past w = 1/2, 1 - w from the
     # complementary inverse keeps t accurate far out in the power tail, where w
@@ -122,7 +132,7 @@ def _beta_prime_ppf(sp, r: float, q: float, u: float) -> float:
     # would lose more than 2^-45 of u's relative precision.  A t past the float
     # range is inf.
     if u <= 0.5:
-        w = float(sp.betaincinv(r, q, u))
+        w = _beta_ppf(sp, r, q, u)
         if not w > 0.5 or u < 2.0 ** -8:
             return w / (1.0 - w) if w < 1.0 else math.inf
     v = float(sp.betaincinv(q, r, 1.0 - u))
@@ -133,7 +143,7 @@ _BETA = _Law(
     1.0, lambda t, beta, gap: beta / gap * np.log1p(-np.minimum(t, 1.0)),
     lambda r, q: math.lgamma(r) + math.lgamma(q) - math.lgamma(r + q),
     lambda sp, r, q, t: sp.betainc(r, q, min(t, 1.0)),
-    lambda sp, r, q, u: sp.betaincinv(r, q, u),
+    _beta_ppf,
     lambda rng, r, q, n: rng.beta(r, q, n))
 _GAMMA = _Law(
     math.inf, lambda t, beta, gap: -t,

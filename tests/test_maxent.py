@@ -45,6 +45,8 @@ E_HALF_RAMP = 0.8619968380178865     # E[x^0.5] under 3 x (1 - x/2)^2
 E_3HALF_RAMP = 0.7836334891071696    # E[x^1.5] under the same density
 ESCORT_MEAN = 50.0 / 27.0            # escort mean of 0.52 (1 + x/2)^-2 on [0, 50]
 ESCORT_SCALE = 0.52
+# integral passes of one escort fit: its Newton iterates plus normalization
+ESCORT_PASSES = 16
 
 LAM0_BETA = 1.8371173070873836       # 1.5 ** 1.5
 LAM1_BETA = -0.9185586535436918      # -(1.5 ** 1.5) / 2
@@ -312,9 +314,8 @@ def test_escort_round_trip_below_order_one(alpha, delta, s, monkeypatch):
     expected = density(params, grid)
     assert np.max(np.abs(sol.density_values - expected)) <= 1e-9 * np.max(expected)
     assert sol.euler_residual <= 1e-10
-    # The escort mean only rises with lam3 below order 1, so the fit walks
-    # the downward ladder alone; the upward one cannot bracket a lam3 < 0.
-    assert len(calls) <= 100
+    # the safeguarded Newton iteration's passes plus the normalizing one
+    assert len(calls) <= ESCORT_PASSES
 
 
 def test_escort_fit_below_order_zero_keeps_the_bracket_positive():
@@ -688,14 +689,25 @@ def test_a_fit_is_one_newton_run(monkeypatch, problem, error):
     assert len(runs) == 1
 
 
-@pytest.mark.parametrize("lam3", [0.0, 2.0 ** -20], ids=["start", "first_rung"])
-def test_escort_target_met_exactly_on_the_ladder(lam3):
-    # a target equal to the escort mean at the start coefficient 0, or at
-    # the ladder's first rung 2^-20, is returned without a root search
-    target = maxent._escort_mean(0.5, lam3, 1.0, 0.0, 2.0)
-    problem = MaxEntProblem(np.linspace(0.0, 2.0, 21), AlphaOrder(0.5),
+@pytest.mark.parametrize("lower,lam3,passes", [(0.0, 0.0, 2), (1.0, -0.5, 3)],
+                         ids=["start", "first_midpoint"])
+def test_escort_target_met_exactly_on_the_ladder(monkeypatch, lower, lam3, passes):
+    # a target equal to the escort mean at an iterate is returned there, with
+    # no further pass: at the start coefficient 0, or on [1, 3] at -1/2, the
+    # midpoint toward the edge -1/lower that the first Newton step (to -2)
+    # overshoots
+    calls = []
+
+    def counting(f, spec):
+        calls.append(spec)
+        return integrate(f, spec)
+
+    target = maxent._escort_mean(0.5, lam3, 1.0, lower, lower + 2.0)[0]
+    problem = MaxEntProblem(np.linspace(lower, lower + 2.0, 21), AlphaOrder(0.5),
                             (MomentConstraint(1.0, target),), MaxEntVariant.ESCORT)
+    monkeypatch.setattr(maxent, "integrate", counting)
     assert solve_escort(problem).multipliers[1] == lam3
+    assert len(calls) == passes
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.01, 0.1, 0.5])
@@ -705,7 +717,7 @@ def test_escort_mean_below_order_one_matches_the_closed_form(alpha):
     # integrals end at the edge z, so even the step at order 0 is exact
     p = alpha / (1.0 - alpha)
     for z in np.linspace(0.05, 2.0, 40):
-        mean = maxent._escort_mean(alpha, -1.0 / z, 1.0, 0.0, 2.0)
+        mean = maxent._escort_mean(alpha, -1.0 / z, 1.0, 0.0, 2.0)[0]
         assert abs(mean / (z / (p + 2.0)) - 1.0) <= 1e-12
 
 
@@ -721,3 +733,56 @@ def test_escort_fit_below_order_one_recovers_the_edge(alpha):
                                 MaxEntVariant.ESCORT)
         lam3 = solve_escort(problem).multipliers[1]
         assert abs(lam3 * z + 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha,upper,delta,target,lam3", [
+    # below order 0 and above order 1: lam3 frozen from a bracketing Brent
+    # search to 1e-13, which agrees with mpmath to 1.2e-15 and 8.4e-15
+    (-0.3857, 3.9906, 1.6059, 4.2, -0.10738888575324466),
+    (1.3, 3.0, 1.7, 1.2, 0.12358596697489418),
+    # below order 1 with the edge z inside [0, upper], where the mean is
+    # z^delta / (1 + delta (p + 1)): lam3 = -1/(target (1 + delta (p + 1)))
+    (0.0, 2.0, 1.0, 0.7, -1.0 / (0.7 * 2.0)),
+    (0.4, 2.0, 1.5, 1.5 ** 1.5 / 3.5, -1.0 / 1.5 ** 1.5),
+], ids=["below_zero", "above_one", "zero", "between"])
+def test_escort_fit_passes_per_band(monkeypatch, alpha, upper, delta, target, lam3):
+    calls = []
+
+    def counting(f, spec):
+        calls.append(spec)
+        return integrate(f, spec)
+
+    monkeypatch.setattr(maxent, "integrate", counting)
+    problem = MaxEntProblem(np.linspace(0.0, upper, 101), AlphaOrder(alpha),
+                            (MomentConstraint(delta, target),), MaxEntVariant.ESCORT)
+    fitted = solve_escort(problem, delta).multipliers[1]
+    assert abs(fitted / lam3 - 1.0) <= 1e-12
+    assert len(calls) <= ESCORT_PASSES
+
+
+def test_escort_fit_reaches_an_edge_inside_a_span_off_zero():
+    # at order 1/2 the weight on [1, 3] is 1 + lam3 x, and lam3 = -2/3 puts
+    # the edge at 3/2, where the escort mean of x is 7/6; the edge -1/lower
+    # bounds the search, which no longer stops where the support vanishes
+    problem = MaxEntProblem(np.linspace(1.0, 3.0, 41), AlphaOrder(0.5),
+                            (MomentConstraint(1.0, 7.0 / 6.0),), MaxEntVariant.ESCORT)
+    sol = solve_escort(problem)
+    assert abs(sol.multipliers[1] * -1.5 - 1.0) <= 1e-12
+    assert sol.euler_residual <= 1e-10
+
+
+@pytest.mark.parametrize("alpha,delta,lower,upper", [
+    (0.3, 1.2, 0.0, 2.0), (0.3, 1.2, 0.5, 2.0), (-0.4, 0.7, 0.0, 3.0),
+    (1.6, 2.0, 0.2, 1.5), (0.0, 1.5, 0.5, 2.5)])
+def test_escort_slope_matches_a_central_difference(alpha, delta, lower, upper):
+    # the pass's slope against (m(lam3 + h) - m(lam3 - h)) / 2h, on both
+    # sides of 0 and, below order 1, with the edge inside the span
+    lams = [0.0, 0.3, -0.2 / upper ** delta]
+    if 0.0 <= alpha < 1.0:
+        lams.append(-1.0 / ((lower + upper) / 2.0) ** delta)
+    for lam3 in lams:
+        h = 1e-5 * max(abs(lam3), upper ** -delta)
+        slope = maxent._escort_mean(alpha, lam3, delta, lower, upper)[1]
+        ahead = maxent._escort_mean(alpha, lam3 + h, delta, lower, upper)[0]
+        behind = maxent._escort_mean(alpha, lam3 - h, delta, lower, upper)[0]
+        assert slope == pytest.approx((ahead - behind) / (2.0 * h), rel=1e-6)

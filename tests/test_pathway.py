@@ -308,6 +308,20 @@ def test_quantile_round_trip_far_in_the_power_tail(params):
         assert quantile(params, cdf(params, x)) == pytest.approx(x, rel=1e-12)
 
 
+@pytest.mark.parametrize("params,u,expected", [
+    # Beta(3.2368, 3.1822) and beta prime with the same shapes, where
+    # betaincinv returns nan; Beta(0.5, 2), where it returns the smallest
+    # normal float for a subnormal w, whose fourth root x is a normal float
+    (PathwayParams(-0.12574286846531213, 1.9484290216781293, 0.6019572410177927,
+                   12.63392086947086, 2.4566451690854905), 1e-300, 3.510073504068945e-157),
+    (PathwayParams(1.5, 3.2368, 1.0, 1.0, 3.2095), 1e-300, 1.8807174463927883e-93),
+    (PathwayParams(0.5, 2.0, 4.0, 1.0, 0.5), 1e-155, 3.0705195677312714e-78),
+], ids=["beta_nan", "beta_prime_nan", "beta_floor"])
+def test_quantile_far_in_the_lower_tail(params, u, expected):
+    # expected: 50-digit mpmath solutions of I_w(r, q) = u, mapped to x
+    assert quantile(params, u) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
 # ------------------------------------------------------------ special cases
 
 def test_special_case_mappings():
