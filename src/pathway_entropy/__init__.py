@@ -6,7 +6,7 @@ its public names in its own `__all__`, and the package re-exports exactly
 those lists, in the order below, for flat imports (`cli` stays a module).
 
     errors              shared exception tree
-    quadrature          adaptive Gauss-Kronrod integration and root bracketing
+    quadrature          adaptive Gauss-Kronrod integration
     entropy_discrete    the entropy families on probability vectors
     entropy_continuous  the same measures over densities on an interval
     pathway             kernel/density/cdf/sampling for the power-bracket family

@@ -14,7 +14,6 @@ __all__ = [
     "UnknownName",
     "NotNormalizable",
     "Infeasible",
-    "NoSignChange",
     "UsageError",
     "NumericalError",
     "NonConvergence",
@@ -52,10 +51,6 @@ class NotNormalizable(DomainError):
 
 class Infeasible(DomainError):
     """No density on the requested domain can satisfy the constraints."""
-
-
-class NoSignChange(DomainError):
-    """A root bracket whose endpoints do not straddle a sign change."""
 
 
 class UsageError(PathwayEntropyError):

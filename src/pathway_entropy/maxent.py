@@ -44,7 +44,8 @@ the escort weight f^alpha has a negative exponent, so lam3 stays above
 -1/upper**delta, where the bracket is positive on the whole span.  For
 0 <= alpha < 1 a negative lam3 ends the support at (-1/lam3)**(1/delta), and
 the escort integrals stop at that edge; at order 0 the weight f^0 is a step
-there, which only the edge, not bisection, resolves exactly.
+there, which only the edge, not bisection, resolves exactly.  At order 0 an
+escort target above the mean at lam3 = 0 raises Infeasible after one pass.
 
 lam3 is fitted by safeguarded Newton (rtsafe; Numerical Recipes, 3rd ed.,
 9.4) on the escort mean m of y = x**delta under w = b**p, with b = 1 +
@@ -584,6 +585,11 @@ def _fit_lambda3(alpha: float, delta: float, target: float, lower: float,
     if g == 0.0:
         return lam
     start_below = g < 0.0
+    if start_below and alpha == 0.0:
+        # the weight f^0 is 1 wherever the bracket is positive, so no lam3
+        # lifts the mean above its value at 0
+        raise Infeasible("no bracket coefficient reaches the escort target on "
+                         "this span")
     reach = 2.0 ** 61 / upper ** delta
     if start_below == (0.0 <= alpha < 1.0):
         far = math.inf

@@ -30,7 +30,7 @@ factor is present.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -65,20 +65,17 @@ class OdeCase:
     The reductions are gated hard: parameters that do not satisfy the
     reduction's constraint (within 1e-12) are rejected here, because for
     such parameters it is the reduction, not the derivative identity, that
-    fails.  eta = 1 - (1-alpha)/beta is derived at construction.
+    fails.  eta = 1 - (1-alpha)/beta is derived at construction; it is not
+    an argument.
     """
 
     params: PathwayParams
     reduction: OdeReduction = OdeReduction.GENERAL
-    eta: float = None  # type: ignore[assignment]
+    eta: float = field(init=False)
 
     def __post_init__(self) -> None:
         p = self.params
-        eta = 1.0 - (1.0 - p.alpha) / p.beta_exp
-        if self.eta is not None and abs(self.eta - eta) > _CONSTRAINT_TOL:
-            raise DomainError(
-                f"eta is derived; expected {eta!r}, got {self.eta!r}")
-        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "eta", 1.0 - (1.0 - p.alpha) / p.beta_exp)
         red = self.reduction
         if red in (OdeReduction.REDUCED_BETA, OdeReduction.REDUCED_BETA1):
             if p.gamma == 1.0:

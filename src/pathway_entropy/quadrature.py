@@ -1,4 +1,4 @@
-"""Adaptive Gauss-Kronrod integration and bracketed root finding.
+"""Adaptive Gauss-Kronrod integration, the package's one quadrature engine.
 
 All floating-point policy for the continuous-case modules lives here: explicit
 tolerances, a hard subdivision budget, deterministic results (two calls with
@@ -24,19 +24,18 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import (
     DomainError,
-    NoSignChange,
     NonConvergence,
     NonFinite,
     PathwayEntropyError,
 )
 
-__all__ = ["QuadratureSpec", "integrate", "find_root"]
+__all__ = ["QuadratureSpec", "integrate"]
 
 # 7-point Gauss-Legendre abscissae and the Kronrod extension, positive half,
 # descending.  Indices 1, 3, 5, 7 of _XGK are the Gauss nodes.
@@ -83,9 +82,6 @@ _TINY = sys.float_info.min
 # Initial uniform split of the integration interval into 8 panels: centers
 # and half-widths as fractions of the interval's length.
 _HEAD_PANELS = np.array([np.arange(1.0, 16.0, 2.0), np.ones(8)]) / 16.0
-
-_ROOT_MAX_ITER = 300                          # Brent steps before NonConvergence
-_ROOT_RTOL = 4.0 * sys.float_info.epsilon     # relative part of the root tolerance
 
 
 @dataclass(frozen=True)
@@ -297,70 +293,3 @@ def integrate(f: Callable, spec: QuadratureSpec) -> float | np.ndarray:
         raise NonFinite("a partial sum overflows the float range") from None
     return np.array(totals) if vector else totals[0]
 
-
-def find_root(f: Callable[[float], float], bracket: Sequence[float], tol: float) -> float:
-    """Locate a sign change of f inside `bracket` to width `tol`.
-
-    Bracketing Brent iteration (Brent, Algorithms for Minimization without
-    Derivatives, 1973, ch. 4) following scipy's `brentq` step for step, so
-    the roots are the same bits: convergence is guaranteed once the
-    endpoints straddle a sign change; otherwise NoSignChange is raised.
-    NonFinite is raised when f returns NaN, NonConvergence after 300 steps.
-    """
-    tol = float(tol)
-    if not tol > 0:
-        raise DomainError(f"tol must be positive, got {tol!r}")
-    a, b = float(bracket[0]), float(bracket[1])
-    if not a < b:
-        raise DomainError(f"need bracket[0] < bracket[1], got {bracket!r}")
-    fa = float(f(a))
-    fb = float(f(b))
-    if math.isnan(fa) or math.isnan(fb):
-        raise NonFinite("bracket endpoint evaluated to NaN")
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if (fa > 0) == (fb > 0):
-        raise NoSignChange(
-            f"f({a}) = {fa:.6g} and f({b}) = {fb:.6g} have the same sign")
-    # xcur is the best iterate, xblk the contrapoint across the sign change,
-    # xpre the previous iterate; scur and spre are the last two steps
-    xpre, fpre, xcur, fcur = a, fa, b, fb
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_ROOT_MAX_ITER):
-        if (fpre > 0) != (fcur > 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (tol + _ROOT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # secant step
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # inverse quadratic step
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:  # IEEE division gives inf or nan: bisect
-                stry = math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = float(f(xcur))
-        if math.isnan(fcur):
-            raise NonFinite(f"f({xcur!r}) evaluated to NaN")
-    raise NonConvergence(f"Failed to converge after {_ROOT_MAX_ITER} iterations.")

@@ -735,6 +735,26 @@ def test_escort_fit_below_order_one_recovers_the_edge(alpha):
         assert abs(lam3 * z + 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("lower,target", [(0.0, 1.3), (0.0, 1.01), (1.0, 2.2)],
+                         ids=["escort_order_zero", "just_above", "span_from_one"])
+def test_escort_order_zero_refuses_a_target_above_the_mean_in_one_pass(
+        monkeypatch, lower, target):
+    # at order 0 the escort mean is flat for lam3 >= 0 and falls below it,
+    # so a target above its value at 0 is refused after the first pass
+    calls = []
+
+    def counting(f, spec):
+        calls.append(spec)
+        return integrate(f, spec)
+
+    monkeypatch.setattr(maxent, "integrate", counting)
+    problem = MaxEntProblem(np.linspace(lower, lower + 2.0, 41), AlphaOrder(0.0),
+                            (MomentConstraint(1.0, target),), MaxEntVariant.ESCORT)
+    with pytest.raises(Infeasible, match="no bracket coefficient"):
+        solve_escort(problem)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("alpha,upper,delta,target,lam3", [
     # below order 0 and above order 1: lam3 frozen from a bracketing Brent
     # search to 1e-13, which agrees with mpmath to 1.2e-15 and 8.4e-15

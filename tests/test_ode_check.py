@@ -111,13 +111,11 @@ def test_constraint_gating():
 
 
 def test_eta_is_derived():
-    case = OdeCase(PathwayParams(alpha=1.5, gamma=1.0, delta=1.0, s=1.0,
-                                 beta_exp=2.0), OdeReduction.TSALLIS_ETA,
-                   eta=1.25)
-    assert case.eta == 1.25
-    with pytest.raises(DomainError):
-        OdeCase(PathwayParams(alpha=1.5, gamma=1.0, delta=1.0, s=1.0,
-                              beta_exp=2.0), OdeReduction.TSALLIS_ETA, eta=0.5)
+    params = PathwayParams(alpha=1.5, gamma=1.0, delta=1.0, s=1.0, beta_exp=2.0)
+    # eta = 1 - (1 - alpha)/beta_exp = 1 + 0.5/2
+    assert OdeCase(params, OdeReduction.TSALLIS_ETA).eta == 1.25
+    with pytest.raises(TypeError):
+        OdeCase(params, OdeReduction.TSALLIS_ETA, eta=1.25)
 
 
 def test_stencil_boundary_rejected():

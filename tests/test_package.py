@@ -1,6 +1,10 @@
-"""The package surface: each module's `__all__`, re-exported as one list."""
+"""The package surface: each module's `__all__`, re-exported as one list,
+and import hygiene: no unused imports or unreferenced private names."""
+import ast
 import importlib
 import pkgutil
+from collections import Counter
+from pathlib import Path
 
 import pathway_entropy
 
@@ -33,3 +37,55 @@ def test_star_import_binds_exactly_all():
     exec("from pathway_entropy import *", namespace)
     namespace.pop("__builtins__")
     assert sorted(namespace) == sorted(pathway_entropy.__all__)
+
+
+SOURCES = {path.name: ast.parse(path.read_text(), str(path))
+           for path in sorted(Path(pathway_entropy.__file__).parent.glob("*.py"))}
+
+
+def _references(node: ast.AST) -> list[str]:
+    """Every name that code under `node` reads: a loaded name, an attribute
+    (`module._name`), or a name imported from another module."""
+    found = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            found.append(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.append(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            found += [alias.name for alias in sub.names]
+    return found
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    for name, tree in SOURCES.items():
+        used = {sub.id for sub in ast.walk(tree)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    assert bound == "*" or bound in used, f"{name}: {bound}"
+
+
+def _private_definitions(stmt: ast.stmt) -> list[str]:
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = [sub.id for t in targets for sub in ast.walk(t)
+                 if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store)]
+    else:
+        names = []
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def test_every_private_module_name_is_referenced_beyond_its_definition():
+    everywhere = Counter(ref for tree in SOURCES.values() for ref in _references(tree))
+    for name, tree in SOURCES.items():
+        for stmt in tree.body:
+            own = _references(stmt)
+            for private in _private_definitions(stmt):
+                assert everywhere[private] > own.count(private), f"{name}: {private}"

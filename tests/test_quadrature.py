@@ -1,4 +1,4 @@
-"""Integrator and root-finder contract tests."""
+"""Integrator contract tests."""
 import math
 import re
 
@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 
 from pathway_entropy.errors import (
     DomainError,
-    NoSignChange,
     NonConvergence,
     NonFinite,
 )
-from pathway_entropy.quadrature import QuadratureSpec, find_root, integrate
+from pathway_entropy.quadrature import QuadratureSpec, integrate
 
 
 def test_rule_weights_are_consistent():
@@ -270,86 +269,10 @@ def test_linearity_on_polynomials(a, b, c):
     assert abs(integrate(f, spec) - exact) < 1e-9 * (1.0 + abs(exact))
 
 
-def test_find_root_linear():
-    assert abs(find_root(lambda x: x - 2.0, (0.0, 5.0), 1e-12) - 2.0) < 1e-10
-
-
-def test_find_root_sqrt2():
-    root = find_root(lambda x: x * x - 2.0, (1.0, 2.0), 1e-12)
-    assert abs(root - math.sqrt(2.0)) < 1e-10
-
-
-def test_find_root_no_sign_change():
-    with pytest.raises(NoSignChange):
-        find_root(lambda x: x, (1.0, 2.0), 1e-12)
-
-
-def test_find_root_endpoint_zero():
-    assert find_root(lambda x: x - 1.0, (1.0, 2.0), 1e-12) == 1.0
-    assert find_root(lambda x: x - 2.0, (1.0, 2.0), 1e-12) == 2.0
-
-
-def test_find_root_nan_mid_iteration_is_non_finite():
-    # finite at the bracket ends, NaN at every interior point
-    with pytest.raises(NonFinite):
-        find_root(lambda x: x - 0.25 if x in (0.0, 1.0) else math.nan, (0.0, 1.0), 1e-12)
-
-
-@pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-12])
-def test_find_root_rejects_invalid_tol(tol):
-    with pytest.raises(DomainError):
-        find_root(lambda x: x - 0.25, (0.0, 1.0), tol)
-
-
-def test_find_root_returns_a_python_float():
-    root = find_root(lambda x: np.float64(x) ** 3 - 0.2, (np.float64(0.0), 1.0),
-                     np.float64(1e-13))
-    assert type(root) is float
-
-
-# Shapes for the brentq comparison, each with its root at c: smooth, flat
-# (cubic), saturating (tanh), a step, a wiggle that bends the secant, and a
-# tiny scale whose divided differences underflow, so that the interpolation
-# steps divide by zero.
-_ROOT_SHAPES = (
-    lambda c: lambda x: x - c,
-    lambda c: lambda x: (x - c) ** 3,
-    lambda c: lambda x: math.tanh(40.0 * (x - c)),
-    lambda c: lambda x: -1.0 if x < c else 1.0,
-    lambda c: lambda x: math.exp(0.1 * x) - math.exp(0.1 * c),
-    lambda c: lambda x: (x - c) * (1.0 + (x - c) ** 2) - 1e-3 * math.sin(40.0 * (x - c)),
-    lambda c: lambda x: (x - c) * abs(x - c) ** 0.1,
-    lambda c: lambda x: 1e-300 * (x - c),
-)
-
-
-def test_find_root_matches_scipy_brentq_bit_for_bit():
-    from scipy.optimize import brentq
-
-    rng = np.random.default_rng(20240607)
-    for i in range(2100):
-        c = float(rng.uniform(-10.0, 10.0) * 10.0 ** rng.integers(-3, 3))
-        width = 10.0 ** rng.uniform(-3.0, 3.0)
-        a, b = c - width * rng.uniform(0.01, 1.0), c + width * rng.uniform(0.01, 1.0)
-        f = _ROOT_SHAPES[i % len(_ROOT_SHAPES)](c)
-        tol = float(10.0 ** rng.uniform(-15.0, -4.0))
-        expected = brentq(f, a, b, xtol=tol, maxiter=300)
-        assert find_root(f, (a, b), tol) == expected, (i, a, b, tol)
-
-
-def test_find_root_iteration_budget():
-    with pytest.raises(NonConvergence):
-        find_root(lambda x: -1.0 if x < 0.0 else 1.0, (-1e300, 1e300), 1e-300)
-
-
 @pytest.mark.parametrize("build,error,match", [
     (lambda: QuadratureSpec(0.0, 1.0, max_subdivisions=0), DomainError,
      "max_subdivisions"),
-    (lambda: find_root(lambda x: x, (1.0, -1.0), 1e-12), DomainError, "bracket"),
-    (lambda: find_root(lambda x: x, (math.nan, 1.0), 1e-12), DomainError, "bracket"),
-    (lambda: find_root(lambda x: x if x > 0 else math.nan, (-1.0, 1.0), 1e-12),
-     NonFinite, "endpoint"),
-], ids=["no_subdivisions", "reversed_bracket", "nan_bracket", "nan_endpoint_value"])
+], ids=["no_subdivisions"])
 def test_typed_errors(build, error, match):
     with pytest.raises(error, match=match):
         build()
