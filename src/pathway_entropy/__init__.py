@@ -4,6 +4,8 @@ kernel family that maximum-entropy arguments produce from them.
 The package is organized as one module per concern.  Each module declares
 its public names in its own `__all__`, and the package re-exports exactly
 those lists, in the order below, for flat imports (`cli` stays a module).
+The flat names are bound on first use (PEP 562), so `import pathway_entropy`
+or `from pathway_entropy import cli` loads no module it does not name.
 
     errors              shared exception tree
     quadrature          adaptive Gauss-Kronrod integration
@@ -16,28 +18,34 @@ those lists, in the order below, for flat imports (`cli` stays a module).
     ppp                 product-probability triples over uniform partitions
     cli                 command-line front end (`pathway-entropy`)
 """
-from .errors import *
-from .quadrature import *
-from .entropy_discrete import *
-from .entropy_continuous import *
-from .pathway import *
-from .maxent import *
-from .ode_check import *
-from .divergence import *
-from .ppp import *
+import importlib
 
 __version__ = "0.1.0"
 
-# Each star import above also binds its submodule on the package.
-__all__ = [
-    "__version__",
-    *errors.__all__,
-    *quadrature.__all__,
-    *entropy_discrete.__all__,
-    *entropy_continuous.__all__,
-    *pathway.__all__,
-    *maxent.__all__,
-    *ode_check.__all__,
-    *divergence.__all__,
-    *ppp.__all__,
-]
+_MODULES = ("errors", "quadrature", "entropy_discrete", "entropy_continuous",
+            "pathway", "maxent", "ode_check", "divergence", "ppp")
+
+
+def _load() -> None:
+    """Bind every module's public names on the package, and `__all__`."""
+    names = ["__version__"]
+    for short in _MODULES:
+        module = importlib.import_module(f"{__name__}.{short}")
+        names += module.__all__
+        globals().update((name, getattr(module, name)) for name in module.__all__)
+    globals()["__all__"] = names
+
+
+def __getattr__(name: str):
+    # A submodule name misses at once: the import system then loads that
+    # submodule alone (`from pathway_entropy import cli`).
+    if name not in _MODULES and name != "cli":
+        _load()
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    _load()
+    return sorted(globals())

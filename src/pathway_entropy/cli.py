@@ -24,40 +24,12 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
-from .divergence import InaccuracyInput, kerridge_inaccuracy
-from .entropy_discrete import (
-    AlphaOrder,
-    DiscreteDistribution,
-    EntropyFamily,
-    FamilyTag,
-    ZeroPolicy,
-    composition_residual_bivariate,
-    composition_residual_trivariate,
-    entropy,
-    validate_order,
-)
 from .errors import (
     DomainError,
     InvalidOrder,
     NumericalError,
     UsageError,
 )
-from .maxent import MaxEntProblem, MaxEntVariant, MomentConstraint
-from .maxent import solve as maxent_solve
-from .maxent import solve_escort
-from .ode_check import OdeCase, OdeReduction, residual_sweep
-from .pathway import (
-    PathwayParams,
-    cdf,
-    density,
-    normalizing_constant,
-    normalizing_constant_quadrature,
-    sample,
-    special_case,
-)
-from .ppp import independent_event_triples, scan
 
 __all__ = ["run", "main", "read_csv", "parse_sweep"]
 
@@ -107,7 +79,11 @@ def parse_sweep(text: str) -> list[float]:
     return values
 
 
-def _parse_probs(text: str) -> DiscreteDistribution:
+def _parse_probs(text: str):
+    import numpy as np
+
+    from .entropy_discrete import DiscreteDistribution, ZeroPolicy
+
     try:
         values = [float(p) for p in text.split(",")]
     except ValueError:
@@ -115,22 +91,21 @@ def _parse_probs(text: str) -> DiscreteDistribution:
     return DiscreteDistribution(np.array(values), ZeroPolicy.ZERO_INDIFFERENT)
 
 
-_FAMILY_TAGS = {t.value: t for t in FamilyTag}
+def _families(name: str, constant: float) -> list[tuple]:
+    from .entropy_discrete import EntropyFamily, FamilyTag
 
-
-def _families(name: str, constant: float) -> list[tuple[str, EntropyFamily]]:
-    def build(key: str) -> EntropyFamily:
-        tag = _FAMILY_TAGS[key]
+    def build(tag: FamilyTag) -> EntropyFamily:
         if tag is FamilyTag.SHANNON:
             return EntropyFamily(tag, constant)
         return EntropyFamily(tag)
 
-    if name == "all":
-        return [(key, build(key)) for key in _FAMILY_TAGS]
-    return [(name, build(name))]
+    tags = list(FamilyTag) if name == "all" else [FamilyTag(name)]
+    return [(tag.value, build(tag)) for tag in tags]
 
 
 def _family_value_rows(args: argparse.Namespace, evaluate) -> list[list]:
+    from .entropy_discrete import AlphaOrder, validate_order
+
     lenient = args.family == "all"
     rows = []
     for name, family in _families(args.family, args.constant):
@@ -146,12 +121,19 @@ def _family_value_rows(args: argparse.Namespace, evaluate) -> list[list]:
 
 
 def _cmd_entropy(args: argparse.Namespace):
+    from .entropy_discrete import entropy
+
     dist = _parse_probs(args.probs)
     rows = _family_value_rows(args, lambda fam, order: entropy(dist, fam, order))
     return ["family", "alpha", "value"], rows, {}, "rows"
 
 
 def _cmd_compose(args: argparse.Namespace):
+    from .entropy_discrete import (
+        composition_residual_bivariate,
+        composition_residual_trivariate,
+    )
+
     p = _parse_probs(args.probs)
     q = _parse_probs(args.probs2)
     r = _parse_probs(args.probs3) if args.probs3 is not None else None
@@ -169,7 +151,9 @@ def _cmd_compose(args: argparse.Namespace):
 _SPECIAL_FLAGS = ("alpha", "gamma", "delta", "s", "q", "beta_scale", "shape")
 
 
-def _pathway_params(args: argparse.Namespace) -> PathwayParams:
+def _pathway_params(args: argparse.Namespace):
+    from .pathway import PathwayParams, special_case
+
     if args.special is not None:
         if args.beta is not None:
             raise UsageError("special cases fix the outer exponent; drop --beta")
@@ -200,6 +184,16 @@ def _default_seed(explicit: int | None) -> int:
 
 
 def _cmd_pathway(args: argparse.Namespace):
+    import numpy as np
+
+    from .pathway import (
+        cdf,
+        density,
+        normalizing_constant,
+        normalizing_constant_quadrature,
+        sample,
+    )
+
     params = _pathway_params(args)
     reflect = args.reflect
     if reflect and args.special != "gaussian_half":
@@ -246,7 +240,9 @@ def _cmd_pathway(args: argparse.Namespace):
     return ["closed", "quadrature"], [row], envelope, _ONE_ROW
 
 
-def _parse_moment(text: str) -> MomentConstraint:
+def _parse_moment(text: str):
+    from .maxent import MomentConstraint
+
     parts = text.split(":")
     if len(parts) != 2:
         raise UsageError(f"expected exponent:target, got {text!r}")
@@ -258,6 +254,12 @@ def _parse_moment(text: str) -> MomentConstraint:
 
 
 def _cmd_maxent(args: argparse.Namespace):
+    import numpy as np
+
+    from .entropy_discrete import AlphaOrder
+    from .maxent import MaxEntProblem, MaxEntVariant, solve_escort
+    from .maxent import solve as maxent_solve
+
     grid = np.array(parse_sweep(args.grid))
     constraints = tuple(_parse_moment(m) for m in args.moment or ())
     variant = MaxEntVariant.ESCORT if args.escort else MaxEntVariant.PLAIN
@@ -287,6 +289,9 @@ def _cmd_maxent(args: argparse.Namespace):
 
 
 def _cmd_ode(args: argparse.Namespace):
+    from .ode_check import OdeCase, OdeReduction, residual_sweep
+    from .pathway import PathwayParams
+
     params = PathwayParams(alpha=args.alpha, gamma=args.gamma, delta=args.delta,
                            s=args.s, beta_exp=args.beta)
     case = OdeCase(params, OdeReduction(args.reduction))
@@ -300,6 +305,8 @@ def _cmd_ode(args: argparse.Namespace):
 
 
 def _cmd_ppp(args: argparse.Namespace):
+    from .ppp import independent_event_triples, scan
+
     if (args.scan_max is None) == (args.n is None):
         raise UsageError("choose exactly one of --scan or --n")
     if args.scan_max is not None:
@@ -312,6 +319,9 @@ def _cmd_ppp(args: argparse.Namespace):
 
 
 def _cmd_inaccuracy(args: argparse.Namespace):
+    from .divergence import InaccuracyInput, kerridge_inaccuracy
+    from .entropy_discrete import AlphaOrder
+
     true_dist = _parse_probs(args.true)
     assigned = _parse_probs(args.assigned)
     rows = []
@@ -365,38 +375,31 @@ def read_csv(source) -> tuple[list[str], list[list]]:
     return header, rows
 
 
-def _add_common(parser: argparse.ArgumentParser, handler) -> None:
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--output", default=None, metavar="PATH")
-    parser.set_defaults(handler=handler)
+def _family_names() -> tuple[str, ...]:
+    from .entropy_discrete import FamilyTag
+
+    return tuple(t.value for t in FamilyTag) + ("all",)
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="pathway-entropy", description=__doc__,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    names = tuple(_FAMILY_TAGS) + ("all",)
-
-    p = sub.add_parser("entropy", help="entropy values, optionally swept in alpha")
-    p.add_argument("--family", choices=names, required=True)
+def _entropy_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--family", choices=_family_names(), required=True)
     p.add_argument("--alpha", default="1", help="order, or start:stop:step")
     p.add_argument("--constant", type=float, default=1.0,
                    help="scale constant for the shannon family")
     p.add_argument("--probs", required=True, help="comma-separated probabilities")
-    _add_common(p, _cmd_entropy)
 
-    p = sub.add_parser("compose", help="product-composition law residuals")
-    p.add_argument("--family", choices=names, required=True)
+
+def _compose_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--family", choices=_family_names(), required=True)
     p.add_argument("--alpha", default="1", help="order, or start:stop:step")
     p.add_argument("--constant", type=float, default=1.0)
     p.add_argument("--probs", required=True)
     p.add_argument("--probs2", required=True)
     p.add_argument("--probs3", default=None,
                    help="third factor switches to the trivariate law")
-    _add_common(p, _cmd_compose)
 
-    p = sub.add_parser("pathway", help="density tables, samples, constants")
+
+def _pathway_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--special", default=None,
                    help="named parameter point (see pathway.SPECIAL_CASE_NAMES)")
     p.add_argument("--alpha", type=float, default=None)
@@ -416,9 +419,9 @@ def _build_parser() -> _Parser:
                    help="overrides PATHWAY_ENTROPY_SEED (default 0)")
     p.add_argument("--constant", action="store_true",
                    help="emit closed-form and quadrature normalizing constants")
-    _add_common(p, _cmd_pathway)
 
-    p = sub.add_parser("maxent", help="constrained maximum-entropy solve")
+
+def _maxent_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--grid", required=True, metavar="START:STOP:STEP")
     p.add_argument("--moment", action="append", metavar="EXPONENT:TARGET",
@@ -427,9 +430,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--escort-delta", dest="escort_delta", type=float, default=1.0)
     p.add_argument("--lambda3", type=float, default=None,
                    help="freeze the escort bracket coefficient")
-    _add_common(p, _cmd_maxent)
 
-    p = sub.add_parser("ode", help="derivative-identity residual sweep")
+
+def _ode_arguments(p: argparse.ArgumentParser) -> None:
+    from .ode_check import OdeReduction
+
     p.add_argument("--reduction", default="general",
                    choices=[r.value for r in OdeReduction])
     p.add_argument("--alpha", type=float, required=True)
@@ -440,20 +445,50 @@ def _build_parser() -> _Parser:
     p.add_argument("--points", type=int, default=9)
     p.add_argument("--h", type=float, default=None,
                    help="stencil step (default: per-point scaling)")
-    _add_common(p, _cmd_ode)
 
-    p = sub.add_parser("ppp", help="integer triples realizing exact independence")
+
+def _ppp_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scan", dest="scan_max", type=int, default=None,
                    metavar="N_MAX")
     p.add_argument("--n", type=int, default=None)
-    _add_common(p, _cmd_ppp)
 
-    p = sub.add_parser("inaccuracy", help="expected assignment penalty")
+
+def _inaccuracy_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--true", required=True, help="true distribution")
     p.add_argument("--assigned", required=True)
     p.add_argument("--alpha", default="2", help="order, or start:stop:step")
-    _add_common(p, _cmd_inaccuracy)
 
+
+# name -> (help, adds the subcommand's own arguments, handler)
+_SUBCOMMANDS = {
+    "entropy": ("entropy values, optionally swept in alpha",
+                _entropy_arguments, _cmd_entropy),
+    "compose": ("product-composition law residuals", _compose_arguments, _cmd_compose),
+    "pathway": ("density tables, samples, constants", _pathway_arguments, _cmd_pathway),
+    "maxent": ("constrained maximum-entropy solve", _maxent_arguments, _cmd_maxent),
+    "ode": ("derivative-identity residual sweep", _ode_arguments, _cmd_ode),
+    "ppp": ("integer triples realizing exact independence", _ppp_arguments, _cmd_ppp),
+    "inaccuracy": ("expected assignment penalty", _inaccuracy_arguments,
+                   _cmd_inaccuracy),
+}
+
+
+def _build_parser(argv: Sequence[str]) -> _Parser:
+    """Every subcommand with its help; arguments only for the one that argv
+    names, so the modules behind other subcommands' choices stay unloaded.
+    The top-level parser takes no option with a value, so its first
+    positional is the first argument not starting with '-'."""
+    parser = _Parser(prog="pathway-entropy", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    named = next((a for a in argv if not a.startswith("-")), None)
+    for name, (help_text, add_arguments, handler) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name == named:
+            add_arguments(p)
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
+            p.add_argument("--output", default=None, metavar="PATH")
+            p.set_defaults(handler=handler)
     return parser
 
 
@@ -464,10 +499,10 @@ def _error_record(exc: Exception) -> None:
 
 def run(argv: Sequence[str] | None = None) -> int:
     """Dispatch an argument vector; returns the process exit code."""
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         try:
-            args = parser.parse_args(argv)
+            args = _build_parser(argv).parse_args(argv)
         except SystemExit as exc:  # --help
             return int(exc.code or 0)
         text = _render(args.format, *args.handler(args))

@@ -109,14 +109,20 @@ def _log_values(f: DensitySpec, x: np.ndarray) -> np.ndarray:
 
 
 def _power(c: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Integrand term f^c = exp(c ln f) of the logs ln f."""
-    return lambda logs: np.exp(c * logs)
+    """Integrand term f^c = exp(c ln f) of the logs ln f.  A term past the
+    float range is inf, which `integrate` raises as NonFinite."""
+    def term(logs):
+        with np.errstate(over="ignore"):
+            return np.exp(c * logs)
+    return term
 
 
 def _shannon(logs: np.ndarray) -> np.ndarray:
     """Integrand term -f ln f of the logs ln f: -inf steps up to the lowest
-    float, where exp is already 0, so 0 ln 0 = 0."""
-    return -np.exp(logs) * np.maximum(logs, _LOWEST)
+    float, where exp is already 0, so 0 ln 0 = 0.  A term past the float
+    range is -inf, which `integrate` raises as NonFinite."""
+    with np.errstate(over="ignore"):
+        return -np.exp(logs) * np.maximum(logs, _LOWEST)
 
 
 def _expected_power(f: DensitySpec, q: DensitySpec, p: float,

@@ -121,16 +121,25 @@ def _spec_over(lower: float, upper: float,
 def _evaluate(f: Callable, x: np.ndarray) -> np.ndarray:
     """f at the nodes x as floats, one per node or one row per integral:
     from one call on the array when it returns that shape, else from one
-    call per node.  The package's own errors are answers, not a sign of a
-    scalar-only f, so they propagate at once."""
+    call per node.  Only a TypeError or ValueError, what scalar-only code
+    raises on an array, sends f to the per-node calls; if those fail too,
+    the array call's error is named as the cause.  The package's own errors
+    and every other exception propagate at once."""
+    def per_node():
+        return np.array([f(float(v)) for v in x]).T
+
     try:
         out = np.asarray(f(x))
     except PathwayEntropyError:
         raise
-    except Exception:
-        out = None
-    if out is None or out.ndim not in (1, 2) or out.shape[-1:] != x.shape:
-        out = np.array([f(float(v)) for v in x]).T
+    except (TypeError, ValueError) as array_error:
+        try:
+            out = per_node()
+        except Exception as exc:
+            raise exc from array_error
+    else:
+        if out.ndim not in (1, 2) or out.shape[-1:] != x.shape:
+            out = per_node()
     return np.asarray(out, dtype=float)
 
 

@@ -1,8 +1,10 @@
 """Exit codes, formats, and determinism of the command-line front end."""
+import argparse
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 import pathway_entropy
+from pathway_entropy import cli
 from pathway_entropy.cli import main, parse_sweep, read_csv, run
 from pathway_entropy.errors import UsageError
 
@@ -318,9 +321,24 @@ def test_ppp_triples_listing(capsys):
     assert rows == []
 
 
+def _names_flag(text: str, flag: str) -> bool:
+    return re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", text) is not None
+
+
 def test_help_exits_zero(capsys):
-    assert run_capture(capsys, "--help")[0] == 0
-    assert run_capture(capsys, "maxent", "--help")[0] == 0
+    code, out, _ = run_capture(capsys, "--help")
+    assert code == 0
+    for name, (help_text, _, _) in cli._SUBCOMMANDS.items():
+        assert name in out and help_text in " ".join(out.split())
+    # the parser adds a subcommand's arguments only when argv names it
+    for name, (_, add_arguments, _) in cli._SUBCOMMANDS.items():
+        code, out, _ = run_capture(capsys, name, "--help")
+        assert code == 0
+        own = argparse.ArgumentParser(add_help=False)
+        add_arguments(own)
+        flags = [flag for action in own._actions for flag in action.option_strings]
+        for flag in [*flags, "--format", "--output", "--help"]:
+            assert _names_flag(out, flag), (name, flag)
 
 
 def _records(key):
@@ -416,34 +434,70 @@ def test_table_flags_rejected_outside_table(capsys, flag, mode):
     assert json.loads(err)["error"] == "UsageError"
 
 
-# Cold start: the package imports numpy only, scipy.special comes in with the
-# first cdf or quantile, and scipy.optimize is never loaded, escort fits too.
-_IMPORT_PROBE = """
-import sys
-
-import numpy as np
-
-def loaded():
-    return {m for m in sys.modules if m == "scipy" or m.startswith("scipy.")}
-
-import pathway_entropy.cli
-print(sorted(loaded()))
-import pathway_entropy as pe
-pe.cdf(pe.PathwayParams(alpha=1.5), 0.7)
-print("scipy.special" in loaded(), "scipy.optimize" in loaded())
-pe.solve_escort(pe.MaxEntProblem(np.linspace(0.0, 50.0, 101), pe.AlphaOrder(1.5),
-                                 (pe.MomentConstraint(1.0, 50.0 / 27.0),),
-                                 pe.MaxEntVariant.ESCORT))
-print("scipy.optimize" in loaded())
+# Cold start: each subcommand loads the package modules of its own layer and
+# nothing else; `cli` and `errors` load for all.  numpy stays out of --help
+# and ppp, scipy.special comes in with the first cdf, and scipy.optimize is
+# never loaded, escort fits too.
+_COLD_PROBE = """
+import contextlib, io, sys
+{imports}
+try:
+    with contextlib.redirect_stdout(io.StringIO()):
+        main()
+except SystemExit as exc:
+    print(exc.code)
+print(*sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("pathway_entropy.")))
+print(*sorted(m for m in ("numpy", "scipy.special", "scipy.optimize") if m in sys.modules))
 """
+
+_IMPORT_FORMS = ("from pathway_entropy.cli import main",
+                 "from pathway_entropy import cli; main = cli.main")
+
+_CONTINUOUS = ["entropy_continuous", "entropy_discrete", "quadrature"]
+_PATHWAY = ["pathway", *_CONTINUOUS]
+
+# (argv, package modules besides cli and errors, which of numpy, scipy.special
+# and scipy.optimize load)
+_COLD_LAYERS = [
+    (["--help"], [], []),
+    (["entropy", "--family", "all", "--probs", "0.5,0.5"], ["entropy_discrete"], ["numpy"]),
+    (["compose", "--family", "all", "--probs", "0.5,0.5", "--probs2", "0.2,0.8"],
+     ["entropy_discrete"], ["numpy"]),
+    (["inaccuracy", "--true", "0.5,0.5", "--assigned", "0.2,0.8"],
+     ["divergence", *_CONTINUOUS], ["numpy"]),
+    (["pathway", "--alpha", "1.5", "--constant"], _PATHWAY, ["numpy"]),
+    (["pathway", "--alpha", "1.5", "--table", "0.5:1:0.5", "--with-cdf"], _PATHWAY,
+     ["numpy", "scipy.special"]),
+    (["maxent", "--alpha", "1.5", "--grid", "0:50:0.5", "--escort",
+      "--moment", f"1:{50.0 / 27.0!r}"], ["entropy_discrete", "maxent", "quadrature"],
+     ["numpy"]),
+    (["ode", "--alpha", "1.5"], ["ode_check", *_PATHWAY], ["numpy"]),
+    (["ppp", "--n", "12"], ["ppp"], []),
+]
+
+
+def _fresh_python(code: str, *argv: str) -> list[str]:
+    src = os.path.dirname(os.path.dirname(pathway_entropy.__file__))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
 
 
 def test_cold_import_loads_scipy_special_on_demand_and_never_scipy_optimize():
-    src = os.path.dirname(os.path.dirname(pathway_entropy.__file__))
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "True False", "False"]
+    for imports in _IMPORT_FORMS:
+        for argv, modules, external in _COLD_LAYERS:
+            lines = _fresh_python(_COLD_PROBE.format(imports=imports), *argv)
+            expected = ["0", " ".join(sorted(["cli", "errors", *modules])),
+                        " ".join(external)]
+            assert lines == expected, (imports, argv)
+
+
+def test_bare_package_import_loads_no_submodule_and_no_numpy():
+    probe = ("import sys, pathway_entropy\n"
+             "print(*sorted(m for m in sys.modules if m.startswith('pathway_entropy')))\n"
+             "print('numpy' in sys.modules)")
+    assert _fresh_python(probe) == ["pathway_entropy", "False"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -322,6 +322,20 @@ def test_nan_density_values_raise_non_finite(pdf):
         m_alpha_expectation_residual(f, AlphaOrder(1.5))
 
 
+# r = gamma/delta = 0.0063: the density passes the float range near x = 0.
+# Under warnings as errors (as pytest runs) the overflow used to send the
+# integrand node by node, and the log-density then failed on a float.
+_SLOW_HEAD = PathwayParams(1.0, 0.011753189300355899, 1.8526943481655047,
+                           2.0966220830130656e-05, 0.050218806231499644)
+
+
+@pytest.mark.parametrize("family,alpha", [(SHANNON, 1.0), (TSALLIS, 2.0)],
+                         ids=["shannon", "power"])
+def test_overflowing_term_raises_non_finite_under_warnings_as_errors(family, alpha):
+    with pytest.raises(NonFinite):
+        continuous_entropy(as_density_spec(_SLOW_HEAD), family, AlphaOrder(alpha))
+
+
 def test_non_positive_power_statistic_is_domain_error():
     for family in ALPHA_FAMILIES:
         for bad in (0.0, -0.25, math.nan):

@@ -2,7 +2,10 @@
 and import hygiene: no unused imports or unreferenced private names."""
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -89,3 +92,14 @@ def test_every_private_module_name_is_referenced_beyond_its_definition():
             own = _references(stmt)
             for private in _private_definitions(stmt):
                 assert everywhere[private] > own.count(private), f"{name}: {private}"
+
+
+def test_dir_lists_every_public_name_before_first_use():
+    src = Path(pathway_entropy.__file__).parent.parent
+    probe = ("import pathway_entropy as pe\n"
+             "names = dir(pe)\n"
+             "print(sorted(set(pe.__all__) - set(names)))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -52,6 +52,29 @@ def test_scalar_only_integrand_is_supported():
     assert abs(value - (math.exp(2.0) - 1.0)) < 1e-10
 
 
+def test_array_error_other_than_type_or_value_error_propagates():
+    # only what scalar-only code raises on an array sends f node by node
+    def f(x):
+        if isinstance(x, np.ndarray):
+            raise ZeroDivisionError("array call")
+        return x * x
+
+    with pytest.raises(ZeroDivisionError, match="array call"):
+        integrate(f, QuadratureSpec(0.0, 1.0))
+
+
+def test_failed_node_by_node_retry_names_the_array_error():
+    def f(x):
+        if isinstance(x, np.ndarray):
+            raise TypeError("array call")
+        raise KeyError("scalar call")
+
+    with pytest.raises(KeyError) as info:
+        integrate(f, QuadratureSpec(0.0, 1.0))
+    assert isinstance(info.value.__cause__, TypeError)
+    assert str(info.value.__cause__) == "array call"
+
+
 def test_vectorization_is_decided_on_every_batch():
     sizes = []
 
