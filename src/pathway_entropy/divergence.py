@@ -109,8 +109,19 @@ def kerridge_inaccuracy(inp: InaccuracyInput,
     a = inp.order.alpha
     f, q = inp.true_dist, inp.assigned
     if isinstance(f, DiscreteDistribution):
-        mask = f.probs > 0.0
-        expected = _sum(f.probs[mask] * q.probs[mask] ** (a - 1.0))
+        fp, qp, c = f.probs, q.probs, a - 1.0
+
+        def term(s: slice, out: np.ndarray) -> np.ndarray:
+            # the terms f q^c where f > 0: the other entries add nothing, and
+            # their q, which may be 0, is never raised to c
+            mass = fp[s] > 0.0
+            fs = fp[s][mass]
+            out = np.compress(mass, qp[s], out=out[:fs.size])
+            # in place, with the exponent fast paths of q ** c (sqrt at c = 0.5)
+            out **= c
+            out *= fs
+            return out
+        expected = _sum(fp, term)
     else:
         expected = _expected_power(f, q, a - 1.0, spec)
     return entropy_from_power_sum(HAVRDA_CHARVAT, inp.order, expected)

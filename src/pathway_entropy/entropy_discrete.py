@@ -24,16 +24,21 @@ holds exactly with the family coefficient a(alpha) returned by
 `composition_coefficient`, and its three-fold extension adds the pair products
 weighted by a(alpha) and the triple product weighted by a(alpha)^2.  The
 probability total, the Shannon sum and the power sums are correctly rounded,
-the value math.fsum returns, so the residual operations stay at the
-1e-12 / 1e-10 level demanded of them.  `_sum` is math.fsum itself below
-512 entries; from 512 on it splits every entry, by error-free extraction
-(Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31, 2008), into a part that
-numpy sums exactly and a residual whose float sum has a known error bound,
-and it is math.fsum of the whole vector when that bound cannot settle the
-rounding at a second, finer split, or an entry is not finite.
+the value math.fsum returns on the list of the terms, so the residual
+operations stay at the 1e-12 / 1e-10 level demanded of them.  `_sum` is
+math.fsum itself below 512 entries.  From 512 on it forms the terms, p ln p
+or exp(c ln p), a cache-sized block at a time in one reused buffer, so no
+term vector of the whole length is built.  It splits each block's terms, by
+error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31, 2008)
+at a power of two taken from that block's own max|x|, into a part that numpy
+sums exactly and a residual whose float sum has a known error bound; one
+math.fsum of all the blocks' sums and bounds then certifies the rounding.
+It is math.fsum of all the terms when that bound cannot settle the rounding
+at a second, finer split, or a term is not finite.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -80,60 +85,74 @@ _SUM_SLACK = 1e-9
 _FSUM_BELOW = 512
 _BLOCK = 1 << 15
 _EPS = float(np.finfo(float).eps)
+_TINY = 2.0 ** -900
 
 
-def _extract(values: np.ndarray, sigmas: list[float]) -> list[float]:
-    """Split each entry at every s_j of `sigmas` in turn, x = q_1 + ... + q_k
-    + r with q_j = (t + s_j) - s_j of what is left, t; return the exact sums
-    of the q_j, then the float sum of the r.  The vector is walked in blocks
-    that stay in cache."""
-    q = np.empty(min(values.size, _BLOCK))
-    r = np.empty_like(q)
-    totals = [0.0] * (len(sigmas) + 1)
-    for start in range(0, values.size, _BLOCK):
-        x = values[start:start + _BLOCK]
-        bq, br = q[:x.size], r[:x.size]
-        for j, sigma in enumerate(sigmas):
-            np.add(x, sigma, out=bq)
-            bq -= sigma
-            totals[j] += float(bq.sum())
-            x = np.subtract(x, bq, out=br)
-        totals[-1] += float(x.sum())
-    return totals
+def _sum(values: np.ndarray,
+         term: Callable[[slice, np.ndarray], np.ndarray] | None = None) -> float:
+    """The correctly rounded sum of the terms of a 1-D float array, bit for bit
+    what math.fsum returns on the list of them, signs mixed or not.  The terms
+    are the entries themselves, or what term(s, out) returns for the entries in
+    slice s: an array formed in the buffer out or in a prefix of it, so that no
+    term vector of the whole length is ever built.
 
-
-def _sum(values: np.ndarray, top: float | None = None) -> float:
-    """The correctly rounded sum of a 1-D float array, bit for bit what
-    math.fsum(values.tolist()) returns, signs mixed or not.  `top` is
-    max|x| when the caller already has it.
-
-    From 512 entries on, error-free extraction (Rump, Ogita & Oishi,
-    "Accurate floating-point summation part I", SIAM J. Sci. Comput. 31,
-    2008) splits each x at s = 2^(e + m), 2^e > max|x|, 2^m > n + 1, into
+    The terms are formed and summed a block of _BLOCK entries at a time, so the
+    buffers stay in cache.  From 512 entries on, error-free extraction (Rump,
+    Ogita & Oishi, "Accurate floating-point summation part I", SIAM J. Sci.
+    Comput. 31, 2008) splits each term x of a block of k terms at the block's
+    own s = 2^(e + m), 2^e > max(max|x|, 2^-900), 2^m > k + 1, into
     q = (x + s) - s and r = x - q, both exact.  The q are multiples of u s
-    (u = eps / 2) whose partial sums stay below s, so numpy sums them
-    exactly in any order; |r| <= u s, so the float sum of the r is within
-    (n eps)^2 s of theirs.  When the two ends of that interval round alike,
-    and not to zero (a zero's sign is fsum's to choose), that is the sum;
-    otherwise the r split once more, at s 2^(m - 52), and then math.fsum
-    sums the whole vector, as it does any vector whose max|x| lies outside
-    (2^-900, 2^1000 / n): inf, NaN and fsum's OverflowError stay as they
-    were.
+    (u = eps / 2) whose partial sums stay below s, so numpy sums them exactly
+    in any order; |r| <= u s, so the float sum of the r is within (k eps)^2 s / 4
+    of theirs.  math.fsum of every block's two sums, minus and plus the float
+    sum of the blocks' bounds (k eps)^2 s (the factor 4 covers that sum's
+    rounding), brackets the sum; when the two ends round
+    alike, and not to zero (a zero's sign is fsum's to choose), that is the
+    sum.  Otherwise the r split once more, at s 2^(m - 52), and then math.fsum
+    sums all the terms, as it does when no block's max|x| exceeds 2^-900 or
+    one's is not below 2^1000 / n: inf, NaN and fsum's OverflowError stay as
+    they were.
     """
     n = values.size
-    if n >= _FSUM_BELOW:
-        top = max(values.max(), -values.min()) if top is None else top
-        if 2.0 ** -900 < top < 2.0 ** 1000 / n:
-            shift = (n + 1).bit_length()
-            sigmas = [math.ldexp(1.0, math.frexp(top)[1] + shift)]
-            for _ in range(2):
-                parts = _extract(values, sigmas)
-                bound = (n * _EPS) ** 2 * sigmas[-1]
-                low = math.fsum(parts + [-bound])
-                if low != 0.0 and low == math.fsum(parts + [bound]):
-                    return low
-                sigmas.append(sigmas[-1] * 2.0 ** (shift - 52))
-    return math.fsum(values.tolist())
+    if n < _FSUM_BELOW:
+        terms = values if term is None else term(slice(None), np.empty(n))
+        return math.fsum(terms.tolist())
+    if term is None:
+        term = lambda s, out: values[s]
+    buf = np.empty((3, min(n, _BLOCK)))
+
+    def blocks():
+        for start in range(0, n, _BLOCK):
+            yield term(slice(start, start + _BLOCK), buf[0, :min(n - start, _BLOCK)])
+
+    def fsum_of_terms() -> float:
+        return math.fsum(itertools.chain.from_iterable(x.tolist() for x in blocks()))
+
+    for level in (1, 2):
+        parts, bound, largest = [], 0.0, 0.0
+        for x in blocks():
+            top = max(x.max(initial=0.0), -x.min(initial=0.0))
+            if not top < 2.0 ** 1000 / n:
+                return fsum_of_terms()
+            largest = max(largest, top)
+            k = x.size
+            shift = (k + 1).bit_length()
+            split = math.ldexp(1.0, math.frexp(max(top, _TINY))[1] + shift)
+            sigmas = [split, split * 2.0 ** (shift - 52)][:level]
+            q, r = buf[1, :k], buf[2, :k]
+            for sigma in sigmas:
+                np.add(x, sigma, out=q)
+                q -= sigma
+                parts.append(float(q.sum()))
+                x = np.subtract(x, q, out=r)
+            parts.append(float(x.sum()))
+            bound += (k * _EPS) ** 2 * sigmas[-1]
+        if not largest > _TINY:
+            break
+        low = math.fsum(parts + [-bound])
+        if low != 0.0 and low == math.fsum(parts + [bound]):
+            return low
+    return fsum_of_terms()
 
 
 class ZeroPolicy(Enum):
@@ -213,7 +232,7 @@ class DiscreteDistribution:
                     "strict_positive distribution contains a non-positive entry")
         elif low < 0.0:
             raise InvalidDistribution("probabilities must be non-negative")
-        total = _sum(p, max(high, -low))
+        total = _sum(p)
         if abs(total - 1.0) > _SUM_SLACK:
             raise InvalidDistribution(
                 f"probabilities sum to {total!r}, outside 1 +/- {_SUM_SLACK}")
@@ -330,22 +349,19 @@ def entropy(dist: DiscreteDistribution, family: EntropyFamily,
         order = AlphaOrder(1.0)
     validate_order(family, order)
     p = dist.nonzero()
-    return _from_statistic(family, order,
-                           lambda: -_sum(_log_times(p, p)),
-                           lambda c: _sum(_powers(p, c)))
 
+    def shannon(s: slice, out: np.ndarray) -> np.ndarray:
+        x = p[s]
+        return np.multiply(np.log(x, out=out), x, out=out)
 
-def _log_times(p: np.ndarray, w: np.ndarray | float) -> np.ndarray:
-    """w ln p, formed in one new array."""
-    t = np.log(p)
-    t *= w
-    return t
+    def power_sum(c: float) -> float:
+        def term(s: slice, out: np.ndarray) -> np.ndarray:
+            np.log(p[s], out=out)
+            out *= c
+            return np.exp(out, out=out)
+        return _sum(p, term)
 
-
-def _powers(p: np.ndarray, c: float) -> np.ndarray:
-    """The power terms p^c = exp(c ln p), formed in place in one array."""
-    t = _log_times(p, c)
-    return np.exp(t, out=t)
+    return _from_statistic(family, order, lambda: -_sum(p, shannon), power_sum)
 
 
 def composition_coefficient(family: EntropyFamily, order: AlphaOrder) -> float:

@@ -201,20 +201,23 @@ def _substitution(params: PathwayParams) -> tuple[_Law, float, float, float]:
 
 
 def _x_of_t(params: PathwayParams, scale: float, t):
-    """x = (t/scale)^(1/delta) of a float t >= 0, or of an array of them under an
-    errstate that lets powers overflow; NonFinite where x is inf or nan."""
+    """x = (t/scale)^(1/delta) of a float t >= 0, or of an array of them, mapped
+    in place under an errstate that lets powers overflow; NonFinite where x is
+    inf or nan."""
     power = 1.0 / params.delta
     try:
         # the product form keeps x within the edge x(t = 1) = scale^(-1/delta) for t <= 1
-        x = scale ** -power * t ** power
+        factor = scale ** -power
+        t **= power
+        t *= factor
+        x = t
     except OverflowError:
         # a factor is past the float range, where the quotient can still be inside it
         try:
             x = (t / scale) ** power
         except OverflowError:
             x = math.inf
-    inside = x < math.inf
-    if not (inside.all() if isinstance(inside, np.ndarray) else inside):
+    if not (x.max(initial=0.0) if isinstance(x, np.ndarray) else x) < math.inf:
         raise NonFinite(f"x = (t/{scale!r})^(1/{params.delta!r}) is not a finite float")
     return x
 

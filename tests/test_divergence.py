@@ -22,6 +22,7 @@ from pathway_entropy.entropy_discrete import (
     SHANNON,
     AlphaOrder,
     DiscreteDistribution,
+    ZeroPolicy,
     entropy,
     entropy_from_power_sum,
     shannon_limit_constant,
@@ -70,6 +71,27 @@ def test_long_discrete_inaccuracy_matches_the_fsum_route():
     expected = math.fsum((f.probs * q.probs ** (order.alpha - 1.0)).tolist())
     assert kerridge_inaccuracy(InaccuracyInput(f, q, order)) == \
         entropy_from_power_sum(HAVRDA_CHARVAT, order, expected)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 1.5, 2.0, 3.0])
+def test_discrete_inaccuracy_skips_the_entries_without_mass(alpha):
+    # f is zero on a whole block and on scattered entries, and q is zero on
+    # some of them: those entries add nothing, and q^(alpha-1) is never
+    # formed there.  Bit for bit the sum over the masked entries.
+    rng = np.random.default_rng(9)
+    n = 3 * 2 ** 15 + 17
+    fw, qw = rng.random(n) + 0.01, rng.random(n) + 0.01
+    fw[2 ** 15:2 ** 16] = 0.0
+    fw[rng.random(n) < 0.2] = 0.0
+    qw[(fw == 0.0) & (rng.random(n) < 0.5)] = 0.0
+    f, q = (DiscreteDistribution(w / w.sum(), ZeroPolicy.ZERO_INDIFFERENT)
+            for w in (fw, qw))
+    order = AlphaOrder(alpha)
+    mask = f.probs > 0.0
+    expected = math.fsum((f.probs[mask] * q.probs[mask] ** (alpha - 1.0)).tolist())
+    assert kerridge_inaccuracy(InaccuracyInput(f, q, order)) == \
+        entropy_from_power_sum(HAVRDA_CHARVAT, order, expected)
+
 
 def test_continuous_inaccuracy_closed_form():
     # f = e^-x, q = 2 e^-2x, alpha = 2: E_f[q] = 2/3, value (2/3-1)/(-1/2)

@@ -4,6 +4,7 @@ Numeric fixtures were frozen from a 50-digit mpmath oracle evaluating the
 defining power sums independently of the library code.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from pathway_entropy.entropy_discrete import (
     EntropyFamily,
     FamilyTag,
     ZeroPolicy,
+    _BLOCK,
     _sum,
     composition_coefficient,
     composition_residual_bivariate,
@@ -466,6 +468,48 @@ def test_sum_of_non_finite_or_huge_entries_is_fsum(head):
     except (OverflowError, ValueError) as exc:
         got = repr(exc)
     assert got == expected
+
+
+def test_sparse_total_certifies_block_by_block(fsum_lengths):
+    # whole blocks of zeros and a block of entries below 2^-900 around the
+    # one that holds the mass: each block is split at its own power of two,
+    # so none of them sends the total to the fsum of the whole vector
+    rng = np.random.default_rng(12)
+    values = np.zeros(5 * _BLOCK)
+    mass = rng.random(_BLOCK) + 0.01
+    values[_BLOCK:2 * _BLOCK] = mass / mass.sum()
+    values[3 * _BLOCK:4 * _BLOCK] = 2.0 ** -950 * rng.random(_BLOCK)
+    expected = math.fsum(values.tolist())
+    fsum_lengths.clear()
+    assert _sum(values) == expected
+    dist = DiscreteDistribution(values, ZeroPolicy.ZERO_INDIFFERENT)
+    assert np.array_equal(dist.probs, values / expected)
+    assert max(fsum_lengths) < _BLOCK
+
+
+@pytest.mark.parametrize("policy", list(ZeroPolicy), ids=lambda p: p.value)
+def test_nan_in_a_later_block_is_named_before_an_earlier_negative_entry(policy):
+    values = np.full(3 * _BLOCK, 1.0 / (3 * _BLOCK))
+    values[5] = -1e-3
+    values[-1] = math.nan
+    with pytest.raises(InvalidDistribution, match="probabilities must be finite"):
+        DiscreteDistribution(values, policy)
+
+
+@pytest.mark.parametrize("family,alpha", [(SHANNON, 1.0), (TSALLIS, 1.7)],
+                         ids=["shannon", "tsallis"])
+def test_long_entropy_builds_no_full_length_temporary(family, alpha):
+    # the terms are formed block by block: the traced peak stays far below
+    # the 8 MiB a term vector of 2^20 entries would take
+    raw = np.random.default_rng(13).random(2 ** 20) + 0.01
+    dist = DiscreteDistribution(raw / raw.sum())
+    tracemalloc.start()
+    try:
+        entropy(dist, family, AlphaOrder(alpha))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_nonzero_returns_the_stored_array_without_zeros():

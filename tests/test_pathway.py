@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from pathway_entropy.ode_check import OdeCase, residual_sweep
 from pathway_entropy.pathway import (
     SPECIAL_CASE_NAMES,
     PathwayParams,
+    _substitution,
     as_density_spec,
     cdf,
     density,
@@ -222,6 +224,25 @@ def test_sampling_deterministic_and_in_support():
     assert not np.array_equal(a, c)
     assert a.min() >= 0.0 and a.max() <= 2.0
     assert sample(HAND, 0, seed=1).size == 0
+
+
+@pytest.mark.parametrize("params", [TYPE1_GEN, LIMIT_GEN], ids=["beta", "gamma"])
+def test_sample_maps_the_draws_in_place(params):
+    # bit for bit scale^(-1/delta) * t^(1/delta) of the seeded draws of t,
+    # with no second array of the sample's length
+    n = 2 ** 20
+    law, r, q, scale = _substitution(params)
+    t = law.draw(np.random.default_rng(3), r, q, n)
+    expected = scale ** (-1.0 / params.delta) * t ** (1.0 / params.delta)
+    del t
+    tracemalloc.start()
+    try:
+        draws = sample(params, n, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(draws, expected)
+    assert peak < 1.25 * draws.nbytes
 
 
 def test_sampling_mean_exponential_branch():
