@@ -348,15 +348,26 @@ def entropy(dist: DiscreteDistribution, family: EntropyFamily,
     if order is None:
         order = AlphaOrder(1.0)
     validate_order(family, order)
-    p = dist.nonzero()
+    p = dist.probs
+    zeros = dist.zero_policy is ZeroPolicy.ZERO_INDIFFERENT
+
+    def log(s: slice, out: np.ndarray, zero_log: float) -> np.ndarray:
+        # ln p over slice s into out; a zero entry's log is never taken, and
+        # zero_log stands in for it, chosen so that its term comes out +0
+        # (0 ln 0 = 0, and 0^c = 0 for every family's c > 0).  So zeros are
+        # dropped a block at a time, with no mask or copy of the whole vector.
+        x = p[s]
+        if not zeros:
+            return np.log(x, out=out)
+        out.fill(zero_log)
+        return np.log(x, out=out, where=x > 0.0)
 
     def shannon(s: slice, out: np.ndarray) -> np.ndarray:
-        x = p[s]
-        return np.multiply(np.log(x, out=out), x, out=out)
+        return np.multiply(log(s, out, 0.0), p[s], out=out)
 
     def power_sum(c: float) -> float:
         def term(s: slice, out: np.ndarray) -> np.ndarray:
-            np.log(p[s], out=out)
+            log(s, out, -math.inf)
             out *= c
             return np.exp(out, out=out)
         return _sum(p, term)

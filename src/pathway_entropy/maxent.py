@@ -27,7 +27,13 @@ is evaluated once per node, and the rows x**e_j f (the constraint gaps) and
 x**(e_j + e_k) f^alpha (the Jacobian) share the panels.  The Jacobian of the
 accepted candidate drives the next step, so there is no separate Jacobian
 pass; the escort fit likewise takes its mean and the mean's slope from one
-pass.
+pass.  What does not depend on the multipliers is formed once a fit: a
+node table maps each distinct batch of nodes u, per span, to the powers
+x**e of the fit's rows (y = x**delta for the escort fit) and to 3 w u**2.
+Every Newton candidate, escort-mean pass and the escort mass pass reads
+it.  Nearly every pass converges in its first sweep, on the same head
+batch, so most passes only read it, and what they read is, bit for bit,
+what forming it again would give.
 
 For alpha < 1 the family exponent 1/(1-alpha) is positive and the bracket
 clamps at zero, which is where compact support comes from.  For alpha > 1
@@ -248,7 +254,7 @@ def _clipped_power(b: np.ndarray, power: float, vanish: bool) -> np.ndarray:
     # the span below order 0, so only at order 0 is f^0 cut to 0 past an edge.
     if vanish:
         return np.power(b, power, out=np.zeros(b.shape), where=~(b <= 0.0))
-    return np.power(np.clip(b, _POS_FLOOR, None), power)
+    return np.power(np.maximum(b, _POS_FLOOR), power)
 
 
 def stationary_density(order: AlphaOrder, multipliers: Sequence[float],
@@ -271,32 +277,62 @@ def stationary_density(order: AlphaOrder, multipliers: Sequence[float],
     return f
 
 
-def _integrate(integrand: Callable[[np.ndarray], np.ndarray], lower: float,
-               upper: float) -> float | np.ndarray:
-    # x = lower + w u^3, dx = 3 w u^2 du; see the module docstring
+def _u_nodes(lower: float, upper: float, u: np.ndarray,
+             exponent: float | np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    # x = lower + w u^3 at the nodes u, raised to `exponent` unless it is
+    # None, and dx/du = 3 w u^2; see the module docstring
     width = upper - lower
+    u2 = u * u
+    x = lower + width * (u2 * u)
+    return x if exponent is None else np.power(x, exponent), 3.0 * width * u2
+
+
+class _Nodes:
+    """One fit's node table: `_u_nodes` of every span and distinct batch of
+    nodes u that the fit's integrals meet, formed on the batch's first pass
+    and read by every later one.  The table lives as long as the fit."""
+
+    def __init__(self, exponent: float | np.ndarray | None = None) -> None:
+        self._exponent = exponent
+        self._batches: dict = {}
+
+    def at(self, lower: float, upper: float,
+           u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        key = (lower, upper, u.tobytes())
+        hit = self._batches.get(key)
+        if hit is None:
+            hit = self._batches[key] = _u_nodes(lower, upper, u, self._exponent)
+        return hit
+
+
+def _integrate(integrand: Callable[[np.ndarray], np.ndarray], lower: float,
+               upper: float, nodes: _Nodes | None = None) -> float | np.ndarray:
+    # The integral in u of integrand(x) dx/du, x = lower + w u^3; the
+    # integrand takes the powers of x that `nodes` holds, or x itself.
+    if nodes is None:
+        nodes = _Nodes()
 
     def mapped(u: np.ndarray) -> np.ndarray:
-        u2 = u * u
-        return integrand(lower + width * (u2 * u)) * (3.0 * width * u2)
+        x, jac = nodes.at(lower, upper, np.asarray(u, dtype=float))
+        return integrand(x) * jac
 
     return integrate(mapped, _U_SPEC)
 
 
-def _newton_integrand(alpha: float, lam: np.ndarray, row_exps: np.ndarray,
+def _newton_integrand(alpha: float, lam: np.ndarray,
                       weighted: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    # One Newton candidate's integrals as rows over shared nodes: row r is
-    # x^row_exps[r] times f (weighted[r] == 0) or f^alpha (weighted[r] == 1).
-    # The first 1 + m rows have the exponents (0, *e), so the bracket is
-    # evaluated once per node from them.  f^alpha, at power alpha/(1-alpha),
-    # stays integrable at a support edge for every admissible order; below
-    # order 1 it vanishes past the edge like f, since it is the derivative
-    # weight of the clipped family.
+    # One Newton candidate's integrals as rows over shared nodes, taken at
+    # the powers x^row_exps[r] of the fit's node table: row r is that power
+    # times f (weighted[r] == 0) or f^alpha (weighted[r] == 1).  The first
+    # 1 + m rows have the exponents (0, *e), so the bracket is evaluated once
+    # per node from them.  f^alpha, at power alpha/(1-alpha), stays
+    # integrable at a support edge for every admissible order; below order 1
+    # it vanishes past the edge like f, since it is the derivative weight of
+    # the clipped family.
     n = lam.size
     vanish = alpha < 1.0
 
-    def integrand(x: np.ndarray) -> np.ndarray:
-        x_powers = np.power(np.asarray(x, dtype=float), row_exps)
+    def integrand(x_powers: np.ndarray) -> np.ndarray:
         bracket = (lam[0] + lam[1:] @ x_powers[1:n]) / (2.0 - alpha)
         base = np.array((_clipped_power(bracket, 1.0 / (1.0 - alpha), vanish),
                          _clipped_power(bracket, alpha / (1.0 - alpha), vanish)))
@@ -332,6 +368,10 @@ def _newton(problem: MaxEntProblem, lam0: np.ndarray) -> np.ndarray:
     row_exps = np.concatenate((all_exps, all_exps[upper_tri[0]]
                                + all_exps[upper_tri[1]]))[:, None]
     weighted = np.repeat([0, 1], [n, upper_tri[0].size])
+    # jac[j, k] and jac[k, j] are row n + symmetric[j, k] of the pass
+    symmetric = np.empty((n, n), dtype=int)
+    symmetric[upper_tri] = symmetric.T[upper_tri] = np.arange(upper_tri[0].size)
+    nodes = _Nodes(row_exps)
     coeff = 1.0 / ((1.0 - alpha) * (2.0 - alpha))
     # For alpha > 1 the family blows up where the bracket crosses zero, so a
     # candidate whose bracket dips nonpositive at a node or cell midpoint is
@@ -344,23 +384,25 @@ def _newton(problem: MaxEntProblem, lam0: np.ndarray) -> np.ndarray:
         # candidate serves the next step
         if probe is not None and np.min(_bracket(lam, exponents, probe)) <= 0.0:
             raise NonFinite("stationary-family bracket lost positivity on the span")
-        values = _integrate(_newton_integrand(alpha, lam, row_exps, weighted),
-                            lower, upper)
-        gaps = values[:n] - offsets
-        jac = np.empty((n, n))
-        jac[upper_tri] = jac.T[upper_tri] = coeff * values[n:]
-        return gaps, jac
+        values = _integrate(_newton_integrand(alpha, lam, weighted), lower, upper,
+                            nodes)
+        return values[:n] - offsets, (coeff * values[n:])[symmetric]
+
+    def norm(gaps: np.ndarray) -> float:
+        # np.linalg.norm's own sum and root, without its dispatch
+        return math.sqrt(gaps.dot(gaps))
 
     lam = lam0
     gaps, jac = gaps_and_jacobian(lam)
     for _ in range(_MAX_NEWTON):
-        if np.max(np.abs(gaps)) <= _NEWTON_TOL:
+        if np.abs(gaps).max() <= _NEWTON_TOL:
             return lam
         try:
             step = np.linalg.solve(jac, -gaps)
         except np.linalg.LinAlgError as exc:
             raise NonConvergence("singular Jacobian in multiplier iteration") from exc
         scale = 1.0
+        gap_norm = norm(gaps)
         while True:
             try:
                 cand = lam + scale * step
@@ -368,14 +410,14 @@ def _newton(problem: MaxEntProblem, lam0: np.ndarray) -> np.ndarray:
             except NonFinite:
                 cand_gaps = None
             if cand_gaps is not None and (
-                    np.linalg.norm(cand_gaps) < np.linalg.norm(gaps)
-                    or np.max(np.abs(cand_gaps)) <= _NEWTON_TOL):
+                    norm(cand_gaps) < gap_norm
+                    or np.abs(cand_gaps).max() <= _NEWTON_TOL):
                 lam, gaps, jac = cand, cand_gaps, cand_jac
                 break
             scale /= 2.0
             if scale < 2.0 ** -14:
                 raise NonConvergence("multiplier line search stalled")
-    if np.max(np.abs(gaps)) <= _NEWTON_TOL:
+    if np.abs(gaps).max() <= _NEWTON_TOL:
         return lam
     raise NonConvergence("multiplier iteration exhausted its budget")
 
@@ -467,12 +509,13 @@ def _escort_top(alpha: float, lam3: float, delta: float, upper: float) -> float:
 
 
 def _escort_mean(alpha: float, lam3: float, delta: float, lower: float,
-                 upper: float) -> tuple[float, float]:
+                 upper: float, nodes: _Nodes | None = None) -> tuple[float, float]:
     # The escort mean m of y = x**delta under the weight w = b**p, with
     # b = 1 + lam3*y and p = alpha/(1-alpha), and its slope dm/dlam3, from
     # one pass over shared nodes; see the module docstring for both forms.
     # w is taken relative to its peak, which is at an end of the span, so no
-    # row overflows however far the search takes lam3.
+    # row overflows however far the search takes lam3.  `nodes` is the fit's
+    # table of y, of exponent delta.
     power = alpha / (1.0 - alpha)
     ends = np.array((lower, upper))
     ends_delta = np.power(ends, delta)
@@ -482,8 +525,7 @@ def _escort_mean(alpha: float, lam3: float, delta: float, lower: float,
     def weight(y: np.ndarray) -> np.ndarray:
         return _clipped_power((1.0 + lam3 * y) / peak, power, alpha < 1.0)
 
-    def rows(x: np.ndarray) -> np.ndarray:
-        y = np.power(np.asarray(x, dtype=float), delta)
+    def rows(y: np.ndarray) -> np.ndarray:
         w = weight(y)
         if lam3 < 0.0:
             return np.array((y * w, w))
@@ -491,7 +533,9 @@ def _escort_mean(alpha: float, lam3: float, delta: float, lower: float,
         return np.array((y * w, w, y * yw_b, yw_b))
 
     top = _escort_top(alpha, lam3, delta, upper)
-    sums = _integrate(rows, lower, top).tolist() if top > lower else [0.0, 0.0]
+    if nodes is None:
+        nodes = _Nodes(delta)
+    sums = _integrate(rows, lower, top, nodes).tolist() if top > lower else [0.0, 0.0]
     if sums[1] <= 0.0:
         raise NonFinite("escort weight carried no mass on the span")
     mean = sums[0] / sums[1]
@@ -521,6 +565,7 @@ def solve_escort(problem: MaxEntProblem, delta: float = 1.0, *,
                          "interior points")
     alpha = problem.order.alpha
     lower, upper = problem.span
+    nodes = _Nodes(delta)
 
     if lambda3 is None:
         if len(problem.constraints) != 1:
@@ -530,7 +575,7 @@ def solve_escort(problem: MaxEntProblem, delta: float = 1.0, *,
             raise DomainError("constraint exponent must equal the escort "
                               "weight exponent")
         _check_attainable(delta, con.target, lower, upper)
-        lam3 = _fit_lambda3(alpha, delta, con.target, lower, upper)
+        lam3 = _fit_lambda3(alpha, delta, con.target, lower, upper, nodes)
     else:
         if not math.isfinite(lambda3):
             raise DomainError("lambda3 must be finite")
@@ -539,16 +584,15 @@ def solve_escort(problem: MaxEntProblem, delta: float = 1.0, *,
                               "on the span")
         lam3 = float(lambda3)
 
-    def shape(x: np.ndarray) -> np.ndarray:
-        x_delta = np.power(np.asarray(x, dtype=float), delta)
-        return _clipped_power(1.0 + lam3 * x_delta, 1.0 / (1.0 - alpha), alpha < 1.0)
+    def shape(y: np.ndarray) -> np.ndarray:  # of y = x**delta
+        return _clipped_power(1.0 + lam3 * y, 1.0 / (1.0 - alpha), alpha < 1.0)
 
     top = _escort_top(alpha, lam3, delta, upper)
-    mass = _integrate(shape, lower, top) if top > lower else 0.0
+    mass = _integrate(shape, lower, top, nodes) if top > lower else 0.0
     if mass <= 0.0:
         raise Infeasible("escort family carries no normalizable mass on the span")
     lam1 = 1.0 / mass
-    dens = lam1 * shape(problem.grid)
+    dens = lam1 * shape(np.power(problem.grid, delta))
 
     # Same stationarity identity as the plain family once f^(1-alpha) is
     # expanded, so the shared residual applies with transformed multipliers.
@@ -567,7 +611,7 @@ def solve_escort(problem: MaxEntProblem, delta: float = 1.0, *,
 
 
 def _fit_lambda3(alpha: float, delta: float, target: float, lower: float,
-                 upper: float) -> float:
+                 upper: float, nodes: _Nodes) -> float:
     # Safeguarded Newton in lam3; see the module docstring.  The gap's sign
     # at 0 says on which side the root lies, and that side ends at `far`:
     # below the floor -1/upper**delta for p < 0 the weight is infinite on
@@ -577,7 +621,7 @@ def _fit_lambda3(alpha: float, delta: float, target: float, lower: float,
     # side of the root; a point found on the other side replaces `far`, and
     # every later step stays inside the bracket (near, far).
     def gap(lam3: float) -> tuple[float, float]:
-        mean, slope = _escort_mean(alpha, lam3, delta, lower, upper)
+        mean, slope = _escort_mean(alpha, lam3, delta, lower, upper, nodes)
         return mean - target, slope
 
     lam = near = 0.0

@@ -12,12 +12,17 @@ scipy's `quad_vec`: an integrand may return one row of values per integral,
 and the rows share the panels while each meets its own tolerance.  The
 panel state lives in arrays, and each sweep bisects, in one batch, every
 panel whose error is above its share (1/panels) of its row's tolerance.
+The first sweep takes 8 equal head panels; those of [0, 1], which every
+half-infinite fold and maxent integral uses, and of [-1, 1], the whole
+line's fold, are read-only constants, so f must not write to its nodes.
 Endpoint power singularities x**p with p > -1 are resolved by refinement
 (panel nodes are strictly interior, so the integrand is never evaluated at
 the endpoints); a panel refined down to the float spacing, where its nodes
 collapse or an outer node would round onto a finite endpoint, raises
 NonConvergence.  A non-finite node value, or an integral that overflows the
-float range from finite ones, raises NonFinite.
+float range from finite ones, raises NonFinite; the nodes are scanned only
+once a sum is not finite, which every non-finite node value makes it, as
+the Kronrod weights are positive.
 """
 from __future__ import annotations
 
@@ -82,6 +87,24 @@ _TINY = sys.float_info.min
 # Initial uniform split of the integration interval into 8 panels: centers
 # and half-widths as fractions of the interval's length.
 _HEAD_PANELS = np.array([np.arange(1.0, 16.0, 2.0), np.ones(8)]) / 16.0
+
+
+def _head(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """The 8 head panels of [a, b] (centers, half-widths) and their nodes."""
+    panels = (b - a) * _HEAD_PANELS
+    panels[0] += a
+    return panels, panels[0][:, None] + panels[1][:, None] * _NODES
+
+
+def _frozen(arrays):
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+# [0, 1] takes every maxent integral and every half-infinite fold, and
+# [-1, 1] the fully infinite fold, so their heads are built once.
+_HEADS = {(0.0, 1.0): _frozen(_head(0.0, 1.0)), (-1.0, 1.0): _frozen(_head(-1.0, 1.0))}
 
 
 @dataclass(frozen=True)
@@ -244,27 +267,29 @@ def integrate(f: Callable, spec: QuadratureSpec) -> float | np.ndarray:
     finite = math.isfinite(spec.lower) and math.isfinite(spec.upper)
     lo, hi = (a, b) if finite else (-math.inf, math.inf)
 
-    panels = (b - a) * _HEAD_PANELS
-    panels[0] += a
+    panels, nodes = _HEADS.get((a, b)) or _head(a, b)
     state = None
     used = 0
     while True:
-        nodes = panels[0][:, None] + panels[1][:, None] * _NODES
         fv = g(nodes.ravel())
         vector = fv.ndim == 2 if state is None else vector   # the first batch decides
         fv = fv.reshape(-1, *nodes.shape)
-        if not np.isfinite(fv).all():
-            row, panel, node = np.argwhere(~np.isfinite(fv))[0]
-            raise NonFinite(f"integrand returned a non-finite value near "
-                            f"x={at(nodes[panel, node])!r} in row {row}")
         rows = fv.shape[0]
         # the integrand runs outside this: its own warnings stay as they are
         with np.errstate(over="ignore", invalid="ignore"):
             state = _rule(state, panels, fv)
             sums = state[2:].sum(axis=1)
         if not np.isfinite(sums).all():
+            # every Kronrod weight is positive, so a non-finite node value
+            # leaves its row's sum non-finite and is only looked for here
+            if not np.isfinite(fv).all():
+                row, panel, node = np.argwhere(~np.isfinite(fv))[0]
+                raise NonFinite(f"integrand returned a non-finite value near "
+                                f"x={at(nodes[panel, node])!r} in row {row}")
             raise NonFinite("an integral overflows the float range")
-        tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(sums[:rows]))
+        tol = np.abs(sums[:rows])
+        tol *= spec.rel_tol
+        np.maximum(tol, spec.abs_tol, out=tol)
         if (sums[rows:] <= tol).all():
             break
         if used >= spec.max_subdivisions:
@@ -295,6 +320,7 @@ def integrate(f: Callable, spec: QuadratureSpec) -> float | np.ndarray:
                     f"panel at x={at(panels[0, np.argmax(flat)])!r} narrowed "
                     f"to the float spacing after {used} subdivisions")
         state = state[:, ~split]
+        nodes = panels[0][:, None] + panels[1][:, None] * _NODES
 
     try:
         totals = [math.fsum(row) for row in state[2:2 + rows].tolist()]

@@ -512,6 +512,34 @@ def test_long_entropy_builds_no_full_length_temporary(family, alpha):
     assert peak < 2 ** 20
 
 
+@pytest.mark.parametrize("family,alpha", [(SHANNON, 1.0), (TSALLIS, 1.7),
+                                          (MATHAI_M, 0.4)],
+                         ids=["shannon", "tsallis", "mathai_m"])
+def test_zeros_are_dropped_block_by_block(family, alpha):
+    # every seventh of 2^20 entries is zero: the terms of the positive ones
+    # are summed with no mask or compressed copy of the whole vector, and the
+    # value is the correctly rounded sum over the positive entries alone
+    raw = np.random.default_rng(14).random(2 ** 20) + 0.01
+    raw[::7] = 0.0
+    dist = DiscreteDistribution(raw / raw.sum(), ZeroPolicy.ZERO_INDIFFERENT)
+    p = dist.probs[dist.probs > 0.0]
+    order = AlphaOrder(alpha)
+    if alpha == 1.0:
+        expected = -math.fsum((np.log(p) * p).tolist())
+    else:
+        c = power_exponent(family, order)
+        expected = entropy_from_power_sum(
+            family, order, math.fsum(np.exp(np.log(p) * c).tolist()))
+    tracemalloc.start()
+    try:
+        got = entropy(dist, family, order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == expected
+    assert peak < 2 ** 20
+
+
 def test_nonzero_returns_the_stored_array_without_zeros():
     dist = DiscreteDistribution(np.array([0.2, 0.3, 0.5]))
     assert dist.nonzero() is dist.probs

@@ -3,6 +3,7 @@
 The moment targets below are frozen from an independent 50-digit
 evaluation of the generating densities' integrals.
 """
+import hashlib
 import importlib.util
 import math
 from pathlib import Path
@@ -426,6 +427,88 @@ def test_integrals_in_u_match_exact_power_integrals(lower, upper, exponents):
         value = maxent._integrate(lambda x: np.power(x, e), lower, upper)
         assert isinstance(value, float)
         assert value == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+_S = 0.5
+_EDGE = 1.2 * support(PathwayParams(alpha=0.6, delta=2.0, s=_S)).upper
+
+# grid, order, (exponent, target) pairs and escort delta (None for a plain
+# fit), then the multipliers' bytes, the first 16 hex digits of the density
+# values' sha256 and the fit's integral passes, all frozen
+FROZEN_FITS = {
+    "one_moment_below_one": (
+        np.linspace(0.0, 2.3, 181), 0.37, ((0.7, 0.9),), None,
+        "cb025181ec24f63fd446d506d72edabf", "296db1a4dd0e43cf", 5),
+    "one_moment_above_one": (
+        np.linspace(0.0, 3.1, 157), 1.42, ((1.0, 1.2),), None,
+        "4401fd834379e63fd90bfadfd1b3c63f", "8efed29a00672d9d", 6),
+    "two_moments_below_one": (
+        np.linspace(0.0, 2.0, 201), 0.5, ((0.5, E_HALF_RAMP), (1.5, E_3HALF_RAMP)),
+        None, "000090550cc4b73d6995402edcc80440bf70402edcc8f4bf",
+        "97707600390f9590", 6),
+    "two_moments_above_one": (
+        np.linspace(0.4, 2.5, 160), 1.2, ((0.5, 1.15), (2.0, 1.9)), None,
+        "0b0cb3bf549d1040ee0997de358f0fc0bf0ea49154d0e43f", "d57855d25a62e74f", 9),
+    "escort_above_one": (
+        np.linspace(0.0, 50.0, 501), 1.5, ((1.0, ESCORT_MEAN),), 1.0,
+        "a4703d0ad7a3e03fffffffffffffdf3f", "6d4b67fed396e116", 11),
+    "escort_below_one": (
+        np.linspace(0.0, _EDGE, 301), 0.6, ((2.0, 1.0 / (_S * 2.4)),), 2.0,
+        "c06a70075f27ed3f989999999999c9bf", "907db84c667d07ab", 7),
+}
+
+
+@pytest.mark.parametrize("name", FROZEN_FITS)
+def test_fits_keep_their_frozen_bits(monkeypatch, name):
+    # cheaper work must be the same work: the same passes and the same bits
+    grid, alpha, moments, delta, multipliers, checksum, passes = FROZEN_FITS[name]
+    calls = []
+
+    def counting(f, spec):
+        calls.append(spec)
+        return integrate(f, spec)
+
+    monkeypatch.setattr(maxent, "integrate", counting)
+    variant = MaxEntVariant.PLAIN if delta is None else MaxEntVariant.ESCORT
+    problem = MaxEntProblem(grid, AlphaOrder(alpha),
+                            tuple(MomentConstraint(*m) for m in moments), variant)
+    sol = solve(problem) if delta is None else solve_escort(problem, delta)
+    assert sol.multipliers.tobytes().hex() == multipliers
+    assert hashlib.sha256(sol.density_values.tobytes()).hexdigest()[:16] == checksum
+    assert len(calls) == passes
+
+
+@pytest.mark.parametrize("name", ["two_moments_below_one", "escort_above_one"])
+def test_node_table_forms_each_batch_once_per_fit(monkeypatch, name):
+    # The powers of x and the Jacobian 3 w u^2 do not depend on the
+    # multipliers, so each distinct batch of nodes u is mapped once a fit,
+    # and the head batch, the first of every pass, once for all its passes.
+    # Both fits keep one span, so a batch's bytes name it.
+    grid, alpha, moments, delta = FROZEN_FITS[name][:4]
+    mapped, seen, heads = [], [], []
+    u_nodes = maxent._u_nodes
+
+    def counting_nodes(lower, upper, u, exponent):
+        mapped.append(u.tobytes())
+        return u_nodes(lower, upper, u, exponent)
+
+    def counting(f, spec):
+        def g(u):
+            seen.append(u.tobytes())
+            return f(u)
+
+        heads.append(len(seen))
+        return integrate(g, spec)
+
+    monkeypatch.setattr(maxent, "_u_nodes", counting_nodes)
+    monkeypatch.setattr(maxent, "integrate", counting)
+    variant = MaxEntVariant.PLAIN if delta is None else MaxEntVariant.ESCORT
+    problem = MaxEntProblem(grid, AlphaOrder(alpha),
+                            tuple(MomentConstraint(*m) for m in moments), variant)
+    solve(problem) if delta is None else solve_escort(problem, delta)
+    assert len(mapped) == len(set(mapped)) == len(set(seen)) < len(seen)
+    head = {seen[i] for i in heads}
+    assert len(heads) > 1 and len(head) == 1 and mapped.count(head.pop()) == 1
 
 
 def test_escort_fits_repeat_bit_for_bit():

@@ -169,6 +169,40 @@ def test_non_finite_value_in_any_row_names_the_node():
     assert 0.5 < node < 1.0
 
 
+@pytest.mark.parametrize("f,lower,upper,message,batches", [
+    # in the first sweep, in the last of three rows
+    (lambda x: np.array([x, np.sqrt(x), np.where(x > 0.7, np.inf, x)]), 0.0, 1.0,
+     "integrand returned a non-finite value near x=0.7004865596879937 in row 2", 1),
+    # in the fourth sweep, as the sqrt row refines its corner at 0
+    (lambda x: np.array([np.sqrt(x), np.where(x < 1e-4, np.nan, 1.0), x * x]),
+     0.0, 1.0,
+     "integrand returned a non-finite value near x=6.675491311865147e-05 in row 1", 4),
+    # in the fourth sweep of the whole line's fold, where the tail row refines
+    (lambda x: np.array([np.exp(-x * x),
+                         np.where(np.abs(x) > 2000.0, -np.inf,
+                                  (1.0 + np.abs(x)) ** -1.5)]),
+     -math.inf, math.inf,
+     "integrand returned a non-finite value near x=-3744.792682349868 in row 1", 4),
+    # every node finite, one row's integral beyond the float range
+    (lambda x: np.array([x, np.full(x.shape, 1.5e308)]), 0.0, 1.0,
+     "an integral overflows the float range", 1),
+], ids=["first_sweep", "later_sweep", "later_sweep_folded", "finite_overflow"])
+def test_non_finite_messages_name_the_node_row_and_sweep(f, lower, upper, message,
+                                                         batches):
+    # the node is looked for only once a sum is not finite; the text is the
+    # one a scan before the panel sums gives
+    calls = []
+
+    def counting(x):
+        calls.append(x.size)
+        return f(x)
+
+    with pytest.raises(NonFinite) as info:
+        integrate(counting, QuadratureSpec(lower, upper))
+    assert str(info.value) == message
+    assert len(calls) == batches
+
+
 # Every node value is finite, but the integral is not: a panel's rule sum
 # overflows (panel_sum, and split_sign and oscillating, whose error estimates
 # come out NaN), or the panels' total does (panel_total).  In partial_sum,
