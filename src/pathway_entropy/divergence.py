@@ -15,7 +15,7 @@ through the one log-density boundary described on `DensitySpec`.  A q that
 is zero where f is a positive float raises DomainError; where f has
 underflowed too, the term is 0.  A q that underflows to 0 in a tail is not
 such a zero when it supplies `log_pdf`, as the bundled densities do: its
-log stays finite there.  Where q^(alpha-1) outgrows f,
+log stays finite there.  Where q^(alpha-1) outgrows f, discrete or not,
 the terms overflow and NonFinite says that E_f diverges.
 
 `m_alpha_expectation_residual` checks the identity
@@ -30,6 +30,7 @@ than the caller's tolerances to leave headroom under that bound.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -44,7 +45,7 @@ from .entropy_discrete import (
     entropy_from_power_sum,
     validate_order,
 )
-from .errors import DomainError, InvalidOrder
+from .errors import DomainError, InvalidOrder, NonFinite
 from .quadrature import QuadratureSpec
 
 __all__ = [
@@ -117,11 +118,15 @@ def kerridge_inaccuracy(inp: InaccuracyInput,
             mass = fp[s] > 0.0
             fs = fp[s][mass]
             out = np.compress(mass, qp[s], out=out[:fs.size])
-            # in place, with the exponent fast paths of q ** c (sqrt at c = 0.5)
-            out **= c
+            # in place, with the exponent fast paths of q ** c (sqrt at c = 0.5);
+            # a term past the float range is inf, which the sum keeps
+            with np.errstate(over="ignore"):
+                out **= c
             out *= fs
             return out
         expected = _sum(fp, term)
+        if math.isinf(expected):
+            raise NonFinite(f"E_f[q^p] diverges at p = {c!r}: a term f q^p overflows")
     else:
         expected = _expected_power(f, q, a - 1.0, spec)
     return entropy_from_power_sum(HAVRDA_CHARVAT, inp.order, expected)

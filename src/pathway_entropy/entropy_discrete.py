@@ -232,6 +232,11 @@ class DiscreteDistribution:
                     "strict_positive distribution contains a non-positive entry")
         elif low < 0.0:
             raise InvalidDistribution("probabilities must be non-negative")
+        # no entry of a vector that sums to 1 +/- slack exceeds 1 + slack, and
+        # below that the sum cannot overflow
+        if high > 1.0 + _SUM_SLACK:
+            raise InvalidDistribution(
+                f"probability {float(high)!r} exceeds 1 + {_SUM_SLACK}")
         total = _sum(p)
         if abs(total - 1.0) > _SUM_SLACK:
             raise InvalidDistribution(
@@ -248,14 +253,6 @@ class DiscreteDistribution:
 
     def __len__(self) -> int:
         return int(self.probs.size)
-
-    def nonzero(self) -> np.ndarray:
-        """The positive entries: the stored array itself when none is zero."""
-        p = self.probs
-        if self.zero_policy is ZeroPolicy.STRICT_POSITIVE:
-            return p
-        positive = p > 0.0
-        return p if positive.all() else p[positive]
 
 
 def validate_order(family: EntropyFamily, order: AlphaOrder) -> None:

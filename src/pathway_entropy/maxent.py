@@ -27,13 +27,15 @@ is evaluated once per node, and the rows x**e_j f (the constraint gaps) and
 x**(e_j + e_k) f^alpha (the Jacobian) share the panels.  The Jacobian of the
 accepted candidate drives the next step, so there is no separate Jacobian
 pass; the escort fit likewise takes its mean and the mean's slope from one
-pass.  What does not depend on the multipliers is formed once a fit: a
-node table maps each distinct batch of nodes u, per span, to the powers
-x**e of the fit's rows (y = x**delta for the escort fit) and to 3 w u**2.
-Every Newton candidate, escort-mean pass and the escort mass pass reads
-it.  Nearly every pass converges in its first sweep, on the same head
-batch, so most passes only read it, and what they read is, bit for bit,
-what forming it again would give.
+pass.  What does not depend on the multipliers is formed once a fit, in
+the one object that takes all of the fit's integrals: its table maps each
+distinct batch of nodes u, per span, to the powers x**e of the fit's rows
+(y = x**delta for the escort fit) and to 3 w u**2.  Every Newton
+candidate, escort-mean pass and the escort mass pass reads it.  Nearly
+every pass converges in its first sweep, on the same head batch, so most
+passes only read it, and what they read is, bit for bit, what forming it
+again would give.  Above order 1 the rows x**e at the positivity probe's
+points are formed once a fit too.
 
 For alpha < 1 the family exponent 1/(1-alpha) is positive and the bracket
 clamps at zero, which is where compact support comes from.  For alpha > 1
@@ -113,7 +115,7 @@ _NEWTON_TOL = 1e-10
 _MAX_NEWTON = 80
 _QUAD_REL = 1e-12
 _QUAD_ABS = 1e-14
-# Every constraint integral is taken in u on [0, 1]; see `_integrate`.
+# Every constraint integral is taken in u on [0, 1]; see `_Nodes`.
 _U_SPEC = QuadratureSpec(0.0, 1.0, rel_tol=_QUAD_REL, abs_tol=_QUAD_ABS)
 # Positive floor for brackets raised to negative powers (alpha > 1).
 _POS_FLOOR = 1e-300
@@ -236,15 +238,6 @@ def trapezoid_weights(grid: np.ndarray) -> np.ndarray:
     return w
 
 
-def _bracket(lam: np.ndarray, exponents: Sequence[float], x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    acc = np.empty(x.shape)
-    acc.fill(lam[0])
-    for coeff, expo in zip(lam[1:].tolist(), exponents):
-        acc += coeff * np.power(x, expo)
-    return acc
-
-
 def _clipped_power(b: np.ndarray, power: float, vanish: bool) -> np.ndarray:
     # With `vanish` the result is 0 wherever the bracket is not positive
     # (compact support), and the power runs only on the rest; a NaN bracket
@@ -271,52 +264,43 @@ def stationary_density(order: AlphaOrder, multipliers: Sequence[float],
     alpha = order.alpha
 
     def f(x: np.ndarray) -> np.ndarray:
-        return _clipped_power(_bracket(lam, exps, x) / (2.0 - alpha),
-                              1.0 / (1.0 - alpha), alpha < 1.0)
+        x = np.asarray(x, dtype=float)
+        bracket = np.full(x.shape, lam[0])
+        for coeff, expo in zip(lam[1:].tolist(), exps):
+            bracket += coeff * np.power(x, expo)
+        return _clipped_power(bracket / (2.0 - alpha), 1.0 / (1.0 - alpha), alpha < 1.0)
 
     return f
 
 
-def _u_nodes(lower: float, upper: float, u: np.ndarray,
-             exponent: float | np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    # x = lower + w u^3 at the nodes u, raised to `exponent` unless it is
-    # None, and dx/du = 3 w u^2; see the module docstring
-    width = upper - lower
-    u2 = u * u
-    x = lower + width * (u2 * u)
-    return x if exponent is None else np.power(x, exponent), 3.0 * width * u2
-
-
 class _Nodes:
-    """One fit's node table: `_u_nodes` of every span and distinct batch of
-    nodes u that the fit's integrals meet, formed on the batch's first pass
-    and read by every later one.  The table lives as long as the fit."""
+    """One fit's integrals in u on [0, 1], x = lower + w u**3 with w =
+    upper - lower; see the module docstring.  A table maps each span and
+    distinct batch of nodes u that the fit meets to x**exponent, the powers
+    the fit's integrands read, and to dx/du = 3 w u**2, formed on the
+    batch's first pass and read by every later one.  The table lives as
+    long as the fit."""
 
-    def __init__(self, exponent: float | np.ndarray | None = None) -> None:
+    def __init__(self, exponent: float | np.ndarray) -> None:
         self._exponent = exponent
         self._batches: dict = {}
 
-    def at(self, lower: float, upper: float,
-           u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        key = (lower, upper, u.tobytes())
-        hit = self._batches.get(key)
-        if hit is None:
-            hit = self._batches[key] = _u_nodes(lower, upper, u, self._exponent)
-        return hit
+    def integrate(self, integrand: Callable[[np.ndarray], np.ndarray], lower: float,
+                  upper: float) -> float | np.ndarray:
+        """The integral over [lower, upper] of integrand(x**exponent) dx."""
+        width = upper - lower
 
+        def mapped(u: np.ndarray) -> np.ndarray:
+            u = np.asarray(u, dtype=float)
+            key = (lower, upper, u.tobytes())
+            hit = self._batches.get(key)
+            if hit is None:
+                u2 = u * u
+                hit = self._batches[key] = (
+                    np.power(lower + width * (u2 * u), self._exponent), 3.0 * width * u2)
+            return integrand(hit[0]) * hit[1]
 
-def _integrate(integrand: Callable[[np.ndarray], np.ndarray], lower: float,
-               upper: float, nodes: _Nodes | None = None) -> float | np.ndarray:
-    # The integral in u of integrand(x) dx/du, x = lower + w u^3; the
-    # integrand takes the powers of x that `nodes` holds, or x itself.
-    if nodes is None:
-        nodes = _Nodes()
-
-    def mapped(u: np.ndarray) -> np.ndarray:
-        x, jac = nodes.at(lower, upper, np.asarray(u, dtype=float))
-        return integrand(x) * jac
-
-    return integrate(mapped, _U_SPEC)
+        return integrate(mapped, _U_SPEC)
 
 
 def _newton_integrand(alpha: float, lam: np.ndarray,
@@ -356,15 +340,14 @@ def _check_attainable(exponent: float, target: float, lower: float,
 def _newton(problem: MaxEntProblem, lam0: np.ndarray) -> np.ndarray:
     alpha = problem.order.alpha
     lower, upper = problem.span
-    exponents = problem.exponents
     offsets = np.array((1.0,) + problem.targets)
     n = offsets.size
     upper_tri = np.triu_indices(n)
     # Every candidate's pass has the same rows: the moments x^e_j f for
-    # e = (0, *exponents), then the Jacobian's upper triangle, since
+    # e = (0, *problem.exponents), then the Jacobian's upper triangle, since
     # d(moment_j)/d(lam_k) = integral of x^(e_j + e_k) f^alpha
     #                        / ((1 - alpha) (2 - alpha)); symmetric.
-    all_exps = np.array((0.0,) + exponents)
+    all_exps = np.array((0.0,) + problem.exponents)
     row_exps = np.concatenate((all_exps, all_exps[upper_tri[0]]
                                + all_exps[upper_tri[1]]))[:, None]
     weighted = np.repeat([0, 1], [n, upper_tri[0].size])
@@ -375,17 +358,18 @@ def _newton(problem: MaxEntProblem, lam0: np.ndarray) -> np.ndarray:
     coeff = 1.0 / ((1.0 - alpha) * (2.0 - alpha))
     # For alpha > 1 the family blows up where the bracket crosses zero, so a
     # candidate whose bracket dips nonpositive at a node or cell midpoint is
-    # rejected before any integral is attempted.
+    # rejected before any integral is attempted.  The probe's rows x^e, like
+    # the table's, are formed once a fit.
     grid = problem.grid
-    probe = np.union1d(grid, (grid[:-1] + grid[1:]) / 2.0) if alpha > 1.0 else None
+    probe_rows = (np.power(np.union1d(grid, (grid[:-1] + grid[1:]) / 2.0),
+                           all_exps[1:, None]) if alpha > 1.0 else None)
 
     def gaps_and_jacobian(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # one integral pass per candidate; the Jacobian of an accepted
         # candidate serves the next step
-        if probe is not None and np.min(_bracket(lam, exponents, probe)) <= 0.0:
+        if probe_rows is not None and np.min(lam[0] + lam[1:] @ probe_rows) <= 0.0:
             raise NonFinite("stationary-family bracket lost positivity on the span")
-        values = _integrate(_newton_integrand(alpha, lam, weighted), lower, upper,
-                            nodes)
+        values = nodes.integrate(_newton_integrand(alpha, lam, weighted), lower, upper)
         return values[:n] - offsets, (coeff * values[n:])[symmetric]
 
     def norm(gaps: np.ndarray) -> float:
@@ -509,7 +493,7 @@ def _escort_top(alpha: float, lam3: float, delta: float, upper: float) -> float:
 
 
 def _escort_mean(alpha: float, lam3: float, delta: float, lower: float,
-                 upper: float, nodes: _Nodes | None = None) -> tuple[float, float]:
+                 upper: float, nodes: _Nodes) -> tuple[float, float]:
     # The escort mean m of y = x**delta under the weight w = b**p, with
     # b = 1 + lam3*y and p = alpha/(1-alpha), and its slope dm/dlam3, from
     # one pass over shared nodes; see the module docstring for both forms.
@@ -533,9 +517,7 @@ def _escort_mean(alpha: float, lam3: float, delta: float, lower: float,
         return np.array((y * w, w, y * yw_b, yw_b))
 
     top = _escort_top(alpha, lam3, delta, upper)
-    if nodes is None:
-        nodes = _Nodes(delta)
-    sums = _integrate(rows, lower, top, nodes).tolist() if top > lower else [0.0, 0.0]
+    sums = nodes.integrate(rows, lower, top).tolist() if top > lower else [0.0, 0.0]
     if sums[1] <= 0.0:
         raise NonFinite("escort weight carried no mass on the span")
     mean = sums[0] / sums[1]
@@ -588,7 +570,7 @@ def solve_escort(problem: MaxEntProblem, delta: float = 1.0, *,
         return _clipped_power(1.0 + lam3 * y, 1.0 / (1.0 - alpha), alpha < 1.0)
 
     top = _escort_top(alpha, lam3, delta, upper)
-    mass = _integrate(shape, lower, top, nodes) if top > lower else 0.0
+    mass = nodes.integrate(shape, lower, top) if top > lower else 0.0
     if mass <= 0.0:
         raise Infeasible("escort family carries no normalizable mass on the span")
     lam1 = 1.0 / mass

@@ -14,7 +14,7 @@ panel state lives in arrays, and each sweep bisects, in one batch, every
 panel whose error is above its share (1/panels) of its row's tolerance.
 The first sweep takes 8 equal head panels; those of [0, 1], which every
 half-infinite fold and maxent integral uses, and of [-1, 1], the whole
-line's fold, are read-only constants, so f must not write to its nodes.
+line's fold, are read-only constants, and f gets a copy of the nodes.
 Endpoint power singularities x**p with p > -1 are resolved by refinement
 (panel nodes are strictly interior, so the integrand is never evaluated at
 the endpoints); a panel refined down to the float spacing, where its nodes
@@ -271,7 +271,7 @@ def integrate(f: Callable, spec: QuadratureSpec) -> float | np.ndarray:
     state = None
     used = 0
     while True:
-        fv = g(nodes.ravel())
+        fv = g(nodes.flatten())   # a copy: f may write to its nodes
         vector = fv.ndim == 2 if state is None else vector   # the first batch decides
         fv = fv.reshape(-1, *nodes.shape)
         rows = fv.shape[0]

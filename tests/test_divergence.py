@@ -136,6 +136,19 @@ def test_divergent_continuous_inaccuracy_is_non_finite():
         kerridge_inaccuracy(inp)
 
 
+@pytest.mark.parametrize("n", [2, 600])
+def test_discrete_inaccuracy_with_an_overflowing_term_is_non_finite(n):
+    # (1e-320)^(-0.99) is past the float range, as the continuous route's
+    # overflowing terms are; (1e-320)^(-0.5) is not
+    f = DiscreteDistribution.uniform(n)
+    q = DiscreteDistribution(np.append(1e-320, np.full(n - 1, (1.0 - 1e-320) / (n - 1))))
+    with pytest.raises(NonFinite, match=r"E_f\[q\^p\] diverges at p = -0\.99"):
+        kerridge_inaccuracy(InaccuracyInput(f, q, AlphaOrder(0.01)))
+    if n == 2:
+        value = kerridge_inaccuracy(InaccuracyInput(f, q, AlphaOrder(0.5)))
+        assert value == 1.2071135004922894e+160
+
+
 def test_asymmetry_observed():
     # alpha = 2 happens to be symmetric (sum f q); 1.5 is not
     f = DiscreteDistribution(np.array([0.5, 0.5]))

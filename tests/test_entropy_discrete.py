@@ -324,10 +324,16 @@ def test_power_sum_map_checks_its_order():
     (lambda: DiscreteDistribution(np.array([0.5, math.nan])), InvalidDistribution,
      "finite"),
     (lambda: DiscreteDistribution.uniform(0), InvalidDistribution, "k >= 1"),
+    # entries whose sum overflows the float range, below and above the
+    # length at which the sum stops being one fsum
+    (lambda: DiscreteDistribution(np.array([1e308, 1e308])), InvalidDistribution,
+     "exceeds 1"),
+    (lambda: DiscreteDistribution(np.full(600, 1e308)), InvalidDistribution,
+     "exceeds 1"),
     (lambda: power_exponent(SHANNON, AlphaOrder(1.0)), UnsupportedFamily,
      "not a power-statistic family"),
 ], ids=["order_nan", "shannon_constant", "empty", "nan_entry", "uniform_zero",
-        "shannon_power_exponent"])
+        "overflowing_sum", "overflowing_long_sum", "shannon_power_exponent"])
 def test_typed_errors(build, error, match):
     with pytest.raises(error, match=match):
         build()
@@ -538,15 +544,6 @@ def test_zeros_are_dropped_block_by_block(family, alpha):
         tracemalloc.stop()
     assert got == expected
     assert peak < 2 ** 20
-
-
-def test_nonzero_returns_the_stored_array_without_zeros():
-    dist = DiscreteDistribution(np.array([0.2, 0.3, 0.5]))
-    assert dist.nonzero() is dist.probs
-    loose = DiscreteDistribution(np.array([0.2, 0.3, 0.5]), ZeroPolicy.ZERO_INDIFFERENT)
-    assert loose.nonzero() is loose.probs
-    zeros = DiscreteDistribution(np.array([0.2, 0.0, 0.8]), ZeroPolicy.ZERO_INDIFFERENT)
-    assert zeros.nonzero().tolist() == [0.2, 0.8]
 
 
 def test_million_entry_entropies_match_the_fsum_route():

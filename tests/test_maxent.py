@@ -419,12 +419,15 @@ def test_integrals_in_u_match_exact_power_integrals(lower, upper, exponents):
     # x^e integrates to (U^(e+1) - L^(e+1))/(e+1) over [L, U], as one row of
     # a vector-valued pass and as a scalar integral.
     exact = [(upper ** (e + 1.0) - lower ** (e + 1.0)) / (e + 1.0) for e in exponents]
+    # The powers come from the integrand or from the table, to the same bits.
     rows = np.array(exponents)[:, None]
-    values = maxent._integrate(lambda x: np.power(x, rows), lower, upper)
+    values = maxent._Nodes(1.0).integrate(lambda x: np.power(x, rows), lower, upper)
     assert values.shape == (len(exponents),)
     np.testing.assert_allclose(values, exact, rtol=1e-12, atol=0.0)
+    tabled = maxent._Nodes(rows).integrate(lambda x_powers: x_powers, lower, upper)
+    assert tabled.tobytes() == values.tobytes()
     for e, ref in zip(exponents, exact):
-        value = maxent._integrate(lambda x: np.power(x, e), lower, upper)
+        value = maxent._Nodes(1.0).integrate(lambda x: np.power(x, e), lower, upper)
         assert isinstance(value, float)
         assert value == pytest.approx(ref, rel=1e-12, abs=0.0)
 
@@ -485,12 +488,18 @@ def test_node_table_forms_each_batch_once_per_fit(monkeypatch, name):
     # and the head batch, the first of every pass, once for all its passes.
     # Both fits keep one span, so a batch's bytes name it.
     grid, alpha, moments, delta = FROZEN_FITS[name][:4]
-    mapped, seen, heads = [], [], []
-    u_nodes = maxent._u_nodes
+    mapped, seen, heads, tables = [], [], [], []
 
-    def counting_nodes(lower, upper, u, exponent):
-        mapped.append(u.tobytes())
-        return u_nodes(lower, upper, u, exponent)
+    class CountingTable(dict):
+        def __setitem__(self, key, value):
+            mapped.append(key[2])
+            super().__setitem__(key, value)
+
+    class CountingNodes(maxent._Nodes):
+        def __init__(self, exponent):
+            super().__init__(exponent)
+            self._batches = CountingTable()
+            tables.append(self)
 
     def counting(f, spec):
         def g(u):
@@ -500,12 +509,13 @@ def test_node_table_forms_each_batch_once_per_fit(monkeypatch, name):
         heads.append(len(seen))
         return integrate(g, spec)
 
-    monkeypatch.setattr(maxent, "_u_nodes", counting_nodes)
+    monkeypatch.setattr(maxent, "_Nodes", CountingNodes)
     monkeypatch.setattr(maxent, "integrate", counting)
     variant = MaxEntVariant.PLAIN if delta is None else MaxEntVariant.ESCORT
     problem = MaxEntProblem(grid, AlphaOrder(alpha),
                             tuple(MomentConstraint(*m) for m in moments), variant)
     solve(problem) if delta is None else solve_escort(problem, delta)
+    assert len(tables) == 1
     assert len(mapped) == len(set(mapped)) == len(set(seen)) < len(seen)
     head = {seen[i] for i in heads}
     assert len(heads) > 1 and len(head) == 1 and mapped.count(head.pop()) == 1
@@ -657,7 +667,7 @@ def test_plain_fit_at_order_zero_is_the_triangle():
                                         variant=MaxEntVariant.ESCORT),
                           lambda3=-10.0),
      Infeasible, "escort family carries no normalizable mass on the span"),
-    (lambda: maxent._escort_mean(0.5, -10.0, 1.0, 1.0, 2.0),
+    (lambda: maxent._escort_mean(0.5, -10.0, 1.0, 1.0, 2.0, maxent._Nodes(1.0)),
      NonFinite, "escort weight carried no mass on the span"),
     # above order 1, bracket positivity is checked before any integral
     (lambda: maxent._newton(MaxEntProblem(np.linspace(0.0, 1.0, 11), AlphaOrder(1.5)),
@@ -710,21 +720,22 @@ def test_line_search_rejects_candidates_that_lose_positivity(monkeypatch):
     # the span; the candidate is rejected and a shorter step is tried
     problem = MaxEntProblem(np.linspace(0.0, 1.0, 101), AlphaOrder(1.5),
                             (MomentConstraint(1.0, 0.9),))
+    # the probe's brackets are the only arrays of its size whose min is taken
     probe_size = 2 * problem.grid.size - 1
     rejected = []
-    real = maxent._bracket
+    real = np.min
 
-    def recording(lam, exponents, x):
-        out = real(lam, exponents, x)
-        if np.size(x) == probe_size and np.min(out) <= 0.0:
-            rejected.append(lam)
+    def recording(brackets, *args, **kwargs):
+        out = real(brackets, *args, **kwargs)
+        if np.size(brackets) == probe_size and out <= 0.0:
+            rejected.append(brackets)
         return out
 
-    monkeypatch.setattr(maxent, "_bracket", recording)
+    monkeypatch.setattr(np, "min", recording)
     sol = solve(problem)
     assert rejected
     density = stationary_density(problem.order, sol.multipliers, problem.exponents)
-    mean = maxent._integrate(lambda x: x * density(x), *problem.span)
+    mean = maxent._Nodes(1.0).integrate(lambda x: x * density(x), *problem.span)
     assert abs(mean - 0.9) <= 1e-10
 
 
@@ -785,7 +796,8 @@ def test_escort_target_met_exactly_on_the_ladder(monkeypatch, lower, lam3, passe
         calls.append(spec)
         return integrate(f, spec)
 
-    target = maxent._escort_mean(0.5, lam3, 1.0, lower, lower + 2.0)[0]
+    target = maxent._escort_mean(0.5, lam3, 1.0, lower, lower + 2.0,
+                                 maxent._Nodes(1.0))[0]
     problem = MaxEntProblem(np.linspace(lower, lower + 2.0, 21), AlphaOrder(0.5),
                             (MomentConstraint(1.0, target),), MaxEntVariant.ESCORT)
     monkeypatch.setattr(maxent, "integrate", counting)
@@ -800,7 +812,7 @@ def test_escort_mean_below_order_one_matches_the_closed_form(alpha):
     # integrals end at the edge z, so even the step at order 0 is exact
     p = alpha / (1.0 - alpha)
     for z in np.linspace(0.05, 2.0, 40):
-        mean = maxent._escort_mean(alpha, -1.0 / z, 1.0, 0.0, 2.0)[0]
+        mean = maxent._escort_mean(alpha, -1.0 / z, 1.0, 0.0, 2.0, maxent._Nodes(1.0))[0]
         assert abs(mean / (z / (p + 2.0)) - 1.0) <= 1e-12
 
 
@@ -883,9 +895,10 @@ def test_escort_slope_matches_a_central_difference(alpha, delta, lower, upper):
     lams = [0.0, 0.3, -0.2 / upper ** delta]
     if 0.0 <= alpha < 1.0:
         lams.append(-1.0 / ((lower + upper) / 2.0) ** delta)
+    nodes = maxent._Nodes(delta)
     for lam3 in lams:
         h = 1e-5 * max(abs(lam3), upper ** -delta)
-        slope = maxent._escort_mean(alpha, lam3, delta, lower, upper)[1]
-        ahead = maxent._escort_mean(alpha, lam3 + h, delta, lower, upper)[0]
-        behind = maxent._escort_mean(alpha, lam3 - h, delta, lower, upper)[0]
+        slope = maxent._escort_mean(alpha, lam3, delta, lower, upper, nodes)[1]
+        ahead = maxent._escort_mean(alpha, lam3 + h, delta, lower, upper, nodes)[0]
+        behind = maxent._escort_mean(alpha, lam3 - h, delta, lower, upper, nodes)[0]
         assert slope == pytest.approx((ahead - behind) / (2.0 * h), rel=1e-6)

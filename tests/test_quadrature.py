@@ -121,6 +121,33 @@ def test_scalar_fallback_matches_the_vectorized_twin_on_every_sweep(
     assert np.asarray(value).tobytes() == np.asarray(twin).tobytes()
 
 
+def _square_in_place(x):
+    x *= x
+    return x
+
+
+# the head nodes of [0, 1] and [-1, 1] are shared constants, yet f gets
+# nodes it may overwrite, on those intervals as on any other
+@pytest.mark.parametrize("lower,upper", [(0.0, 1.0), (-1.0, 1.0), (0.0, 2.0)])
+@pytest.mark.parametrize("in_place,twin,exact", [
+    (lambda x: np.exp(x, out=x), np.exp, lambda a, b: math.exp(b) - math.exp(a)),
+    (_square_in_place, lambda x: x * x, lambda a, b: (b ** 3 - a ** 3) / 3.0),
+], ids=["exp_out", "square_in_place"])
+def test_integrand_may_write_to_its_nodes(lower, upper, in_place, twin, exact):
+    def recorded(f, sizes):
+        def g(x):
+            sizes.append(np.size(x))
+            return f(x)
+        return g
+
+    spec = QuadratureSpec(lower, upper)
+    sizes, twin_sizes = [], []
+    value = integrate(recorded(in_place, sizes), spec)
+    assert value == pytest.approx(exact(lower, upper), rel=1e-12)
+    assert value == integrate(recorded(twin, twin_sizes), spec)
+    assert sizes == twin_sizes and min(sizes) > 1   # one array call per batch
+
+
 def test_package_error_in_first_batch_is_not_retried_as_scalars():
     calls = []
 
