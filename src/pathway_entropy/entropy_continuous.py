@@ -2,9 +2,15 @@
 
 A density is a callable plus its declared support.  The five order-alpha
 measures replace the discrete power sum with the integral of f^alpha (or
-f^(2-alpha) for the mathai forms), evaluated by the adaptive quadrature in
-`pathway_entropy.quadrature`; the Shannon measure is -A * integral f ln f.
-Every integrand is a function of ln f, read as `DensitySpec` describes.
+f^(2-alpha) for the mathai forms); the Shannon measure is -A * integral f ln f.
+Closed forms come first: when a spec states these two statistics, as every
+bundled density does, the measures read them; otherwise they are evaluated by
+the adaptive quadrature in `pathway_entropy.quadrature`, and a `spec`
+argument sets the tolerances of that quadrature only.
+`density_power_integral`, `DensitySpec.checked`, the `divergence` forms and
+the joint side of the composition residual always integrate, so they
+cross-check the closed forms.  Every integrand is a function of ln f, read
+as `DensitySpec` describes.
 
 The product-composition law carries over verbatim: for the independent joint
 density f(x) g(y) the joint measure equals F(f) + F(g) + a(alpha) F(f) F(g).
@@ -63,12 +69,20 @@ class DensitySpec:
     order-alpha measures of a density with zero mass raise DomainError.
     `pdf` and `log_pdf` may be vectorized or scalar-only: each node batch
     probes them on the array, then calls a scalar-only one once per node.
+
+    `power_integral(c)`, the integral of f^c, and `shannon()`, -integral
+    f ln f, state those statistics in closed form when given (the bundled
+    densities supply both).  `continuous_entropy` and the 1-D sides of
+    `composition_residual_continuous` call them in place of the quadrature;
+    a spec without them, such as any user density, is integrated.
     """
 
     pdf: Callable[[np.ndarray], np.ndarray]
     lower: float
     upper: float
     log_pdf: Callable[[np.ndarray], np.ndarray] | None = field(default=None, kw_only=True)
+    power_integral: Callable[[float], float] | None = field(default=None, kw_only=True)
+    shannon: Callable[[], float] | None = field(default=None, kw_only=True)
 
     def __post_init__(self) -> None:
         lo = float(self.lower)
@@ -147,7 +161,17 @@ def _expected_power(f: DensitySpec, q: DensitySpec, p: float,
     return integrate(integrand, f.quadrature_spec(spec))
 
 
+def _exp_in_float_range(log_value: float, what: str) -> float:
+    """exp(log_value) from a closed-form log; NonFinite naming `what`, never
+    OverflowError, when it is 0, inf or nan."""
+    value = math.exp(log_value) if log_value <= _LOG_MAX else math.inf
+    if not 0.0 < value < math.inf:
+        raise NonFinite(f"{what} exp({log_value!r}) is outside the float range")
+    return value
+
+
 def uniform_density(lower: float = 0.0, upper: float = 1.0) -> DensitySpec:
+    """Uniform on [lower, upper]: integral f^c = (U-L)^(1-c), Shannon ln(U-L)."""
     if not (math.isfinite(lower) and math.isfinite(upper) and lower < upper):
         raise InvalidDistribution("uniform support must be a finite interval")
     log_height = -math.log(upper - lower)
@@ -156,10 +180,15 @@ def uniform_density(lower: float = 0.0, upper: float = 1.0) -> DensitySpec:
         x = np.asarray(x, dtype=float)
         return np.where((x >= lower) & (x <= upper), log_height, -math.inf)
 
-    return _from_log_pdf(log_pdf, lower, upper)
+    return _from_log_pdf(log_pdf, lower, upper,
+                         lambda c: _exp_in_float_range((c - 1.0) * log_height,
+                                                       f"integral of f^{c!r} ="),
+                         lambda: -log_height)
 
 
 def exponential_density(rate: float = 1.0) -> DensitySpec:
+    """rate * exp(-rate x) on [0, inf): integral f^c = rate^(c-1)/c, Shannon
+    1 - ln rate."""
     if not (rate > 0 and math.isfinite(rate)):
         raise InvalidDistribution("exponential rate must be positive")
     log_rate = math.log(rate)
@@ -168,10 +197,15 @@ def exponential_density(rate: float = 1.0) -> DensitySpec:
         x = np.asarray(x, dtype=float)
         return np.where(x >= 0.0, log_rate - rate * x, -math.inf)
 
-    return _from_log_pdf(log_pdf, 0.0, math.inf)
+    return _from_log_pdf(log_pdf, 0.0, math.inf,
+                         lambda c: _exp_in_float_range((c - 1.0) * log_rate - math.log(c),
+                                                       f"integral of f^{c!r} ="),
+                         lambda: 1.0 - log_rate)
 
 
 def gaussian_density(mean: float = 0.0, sd: float = 1.0) -> DensitySpec:
+    """Normal(mean, sd^2): integral f^c = (2 pi sd^2)^((1-c)/2) / sqrt(c),
+    Shannon ln(2 pi e sd^2)/2."""
     if not (sd > 0 and math.isfinite(sd) and math.isfinite(mean)):
         raise InvalidDistribution("gaussian needs finite mean and positive sd")
     log_norm = -math.log(sd * math.sqrt(2.0 * math.pi))
@@ -180,17 +214,25 @@ def gaussian_density(mean: float = 0.0, sd: float = 1.0) -> DensitySpec:
         z = (np.asarray(x, dtype=float) - mean) / sd
         return log_norm - 0.5 * z * z
 
-    return _from_log_pdf(log_pdf, -math.inf, math.inf)
+    return _from_log_pdf(log_pdf, -math.inf, math.inf,
+                         lambda c: _exp_in_float_range((c - 1.0) * log_norm - 0.5 * math.log(c),
+                                                       f"integral of f^{c!r} ="),
+                         lambda: 0.5 - log_norm)
 
 
-def _from_log_pdf(log_pdf: Callable, lower: float, upper: float) -> DensitySpec:
-    """The density stated once, in log form; its pdf is the exp of that."""
-    return DensitySpec(lambda x: np.exp(log_pdf(x)), lower, upper, log_pdf=log_pdf)
+def _from_log_pdf(log_pdf: Callable, lower: float, upper: float,
+                  power_integral: Callable[[float], float],
+                  shannon: Callable[[], float]) -> DensitySpec:
+    """The density stated once, in log form, with its two statistics in
+    closed form; its pdf is the exp of the log form."""
+    return DensitySpec(lambda x: np.exp(log_pdf(x)), lower, upper, log_pdf=log_pdf,
+                       power_integral=power_integral, shannon=shannon)
 
 
 def density_power_integral(f: DensitySpec, exponent: float,
                            spec: QuadratureSpec | None = None) -> float:
-    """integral of f(x)^exponent over the support, with 0^exponent = 0."""
+    """integral of f(x)^exponent over the support, with 0^exponent = 0, by
+    quadrature even where the spec states it in closed form: the cross-check."""
     if not exponent > 0:
         raise DomainError("power integral needs a positive exponent")
     term = _power(exponent)
@@ -204,12 +246,15 @@ def continuous_entropy(f: DensitySpec, family: EntropyFamily, order: AlphaOrder,
     Same order-1 dispatch as the discrete case: at alpha exactly 1 each
     family returns its true limit, the Shannon integral times
     `shannon_limit_constant` (1/ln 2 for havrda_charvat, 1 otherwise).
+    The statistic comes from the spec's closed form when it states one,
+    else by quadrature; `spec` sets the tolerances of the quadrature only.
     """
     validate_order(family, order)
     return _from_statistic(
         family, order,
-        lambda: integrate(lambda x: _shannon(_log_values(f, x)), f.quadrature_spec(spec)),
-        lambda c: density_power_integral(f, c, spec))
+        f.shannon or (lambda: integrate(lambda x: _shannon(_log_values(f, x)),
+                                        f.quadrature_spec(spec))),
+        f.power_integral or (lambda c: density_power_integral(f, c, spec)))
 
 
 def _joint(f: DensitySpec, g: DensitySpec, spec: QuadratureSpec | None,
@@ -238,7 +283,8 @@ def composition_residual_continuous(f: DensitySpec, g: DensitySpec,
                                     family: EntropyFamily, order: AlphaOrder,
                                     spec: QuadratureSpec | None = None) -> float:
     """F(fg) - [F(f) + F(g) + a(alpha) F(f) F(g)] for the independent joint
-    density f(x) g(y), the joint term computed by iterated 2D quadrature.
+    density f(x) g(y), the joint term computed by iterated 2D quadrature and
+    F(f), F(g) by `continuous_entropy`, from closed forms where stated.
 
     Exact algebraically; the returned residual is quadrature-limited
     (order 1e-6 is the working contract for well-behaved densities).

@@ -22,19 +22,32 @@ Every distribution function comes from the substitution t = s|1-alpha| x^delta
     alpha > 1   beta-prime(r, q),   q = beta/(alpha-1) - r, i.e. t/(1+t) ~ Beta(r, q)
 
 The `_Law` table is the one place where each law is stated, one row each: its
-edge in t, the kernel's bracket in t, its Beta or Gamma normalizer, the
-regularized incomplete function for `cdf`, its exact inverse for `quantile`,
-and the generator's variates for `sample` (Devroye, Non-Uniform Random Variate
-Generation, 1986, ch. IX).  `_substitution` picks the row; the functions that
-read it do not test the regime.  `normalizing_constant_quadrature` recomputes
-the constant by quadrature as a cross-check.  Above order 1 the kernel decays
-like x^(gamma-1-delta*beta/(alpha-1)), so it is integrable only where q > 0;
+edge in t, the kernel's bracket in t, its Beta or Gamma normalizer, its log
+moments E[ln t] and E[bracket log], the regularized incomplete function for
+`cdf`, its exact inverse for `quantile`, and the generator's variates for
+`sample` (Devroye, Non-Uniform Random Variate Generation, 1986, ch. IX).
+`_substitution` picks the row; the functions that read it do not test the
+regime.  `normalizing_constant_quadrature` recomputes the constant by
+quadrature as a cross-check.  Above order 1 the kernel decays like
+x^(gamma-1-delta*beta/(alpha-1)), so it is integrable only where q > 0;
 elsewhere NotNormalizable is raised, never an unnormalized kernel.
 
 The kernel is stated once, as `log_kernel` (log1p for the bracket), so large
 delta or extreme x never produce inf * 0.  `density` is exp(ln c + ln g), the
 log density `as_density_spec` hands the continuous measures: its values stay
 finite where c itself leaves the float range.
+
+The spec also carries the two continuous statistics in closed form, so the
+entropies skip quadrature.  f^p is c^p times the kernel with gamma' =
+p(gamma-1)+1 and beta' = p beta, so the integral of f^p is exp(p ln c -
+ln c'), c' that kernel's constant; it diverges where gamma' <= 0 (the head)
+or q' <= 0 (the power tail).  The Shannon entropy is -ln c - (gamma-1)
+E[ln x] - E[bracket log] with E[ln x] = (E[ln t] - ln scale)/delta, from the
+log moments of the row's law in the digamma function psi:
+
+    alpha < 1   E[ln t] = psi(r) - psi(r+q),   E[ln(1-t)] = psi(q) - psi(r+q)
+    alpha = 1   E[ln t] = psi(r),              E[t] = r
+    alpha > 1   E[ln t] = psi(r) - psi(q),     E[ln(1+t)] = psi(r+q) - psi(q)
 
 The named special cases (`special_case`) are fixed points of the family,
 listed in one table with their free arguments, defaults and requirements.
@@ -49,7 +62,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .entropy_continuous import _LOG_MAX, DensitySpec, _from_log_pdf
+from .entropy_continuous import DensitySpec, _exp_in_float_range, _from_log_pdf
 from .errors import DomainError, NonFinite, NotNormalizable, UnknownName
 from .quadrature import QuadratureSpec, _spec_over, integrate
 
@@ -102,6 +115,7 @@ class _Law(NamedTuple):
     edge: float             # the support's upper end in t
     log_bracket: Callable   # (t, beta, |1-alpha|) -> ln of the bracket, weighted
     log_norm: Callable      # (r, q) -> ln of the Beta or Gamma normalizer
+    log_moments: Callable   # (r, q, beta, |1-alpha|) -> E[ln t], E[log_bracket]
     cdf: Callable           # (sp, r, q, t) -> P(T <= t)
     ppf: Callable           # (sp, r, q, u) -> the t with P(T <= t) = u
     draw: Callable          # (rng, r, q, n) -> n variates of t
@@ -139,22 +153,43 @@ def _beta_prime_ppf(sp, r: float, q: float, u: float) -> float:
     return (1.0 - v) / v if v > 0.0 else math.inf
 
 
+def _digamma(x: float) -> float:
+    """psi(x) for x > 0: the recurrence psi(x) = psi(x+1) - 1/x up to x >= 10,
+    then the asymptotic series in the Bernoulli numbers (Abramowitz & Stegun
+    6.3.18), all terms summed by `math.fsum`."""
+    terms = []
+    while x < 10.0:
+        terms.append(-1.0 / x)
+        x += 1.0
+    w = 1.0 / (x * x)
+    tail = w * (1 / 12 - w * (1 / 120 - w * (1 / 252 - w * (1 / 240 - w * (
+        1 / 132 - w * (691 / 32760 - w / 12))))))
+    terms += [math.log(x), -0.5 / x, -tail]
+    return math.fsum(terms)
+
+
 _BETA = _Law(
     1.0, lambda t, beta, gap: beta / gap * np.log1p(-np.minimum(t, 1.0)),
     lambda r, q: math.lgamma(r) + math.lgamma(q) - math.lgamma(r + q),
+    lambda r, q, beta, gap: (_digamma(r) - _digamma(r + q),
+                             beta / gap * (_digamma(q) - _digamma(r + q))),
     lambda sp, r, q, t: sp.betainc(r, q, min(t, 1.0)),
     _beta_ppf,
     lambda rng, r, q, n: rng.beta(r, q, n))
 _GAMMA = _Law(
     math.inf, lambda t, beta, gap: -t,
     lambda r, q: math.lgamma(r),
+    lambda r, q, beta, gap: (_digamma(r), -r),
     lambda sp, r, q, t: sp.gammainc(r, t),
     lambda sp, r, q, u: sp.gammaincinv(r, u),
     lambda rng, r, q, n: rng.standard_gamma(r, n))
 # t/(1+t) is Beta(r, q), so the normalizer is B(r, q) as in the Beta row
 _BETA_PRIME = _Law(
     math.inf, lambda t, beta, gap: -(beta / gap) * np.log1p(t),
-    _BETA.log_norm, _beta_prime_cdf, _beta_prime_ppf,
+    _BETA.log_norm,
+    lambda r, q, beta, gap: (_digamma(r) - _digamma(q),
+                             -(beta / gap) * (_digamma(r + q) - _digamma(q))),
+    _beta_prime_cdf, _beta_prime_ppf,
     lambda rng, r, q, n: rng.standard_gamma(r, n) / rng.standard_gamma(q, n))
 
 
@@ -225,15 +260,7 @@ def _x_of_t(params: PathwayParams, scale: float, t):
 def normalizing_constant(params: PathwayParams) -> float:
     """Closed-form c with integral(c * kernel) = 1, computed in log space.
     Raises NonFinite when c lies outside the float range."""
-    log_c = _log_constant(params)
-    return _in_float_range(math.exp(log_c) if log_c <= _LOG_MAX else math.inf,
-                           f"exp({log_c!r})")
-
-
-def _in_float_range(c: float, formula: str) -> float:
-    if not 0.0 < c < math.inf:
-        raise NonFinite(f"normalizing constant {formula} is outside the float range")
-    return c
+    return _exp_in_float_range(_log_constant(params), "normalizing constant")
 
 
 def _log_constant(params: PathwayParams) -> float:
@@ -254,8 +281,10 @@ def normalizing_constant_quadrature(params: PathwayParams,
     except NonFinite as exc:   # the kernel or its integral overflows: c underflows
         raise NonFinite(f"normalizing constant 1/integral(kernel) is outside "
                         f"the float range: {exc}") from exc
-    return _in_float_range(1.0 / integral if integral > 0.0 else math.inf,
-                           f"1/{integral!r}")
+    c = 1.0 / integral if integral > 0.0 else math.inf
+    if not 0.0 < c < math.inf:
+        raise NonFinite(f"normalizing constant 1/{integral!r} is outside the float range")
+    return c
 
 
 def log_kernel(params: PathwayParams, x):
@@ -421,6 +450,51 @@ def special_case(name: str, **kwargs) -> PathwayParams:
 
 def as_density_spec(params: PathwayParams) -> DensitySpec:
     """Bridge into the continuous-entropy interface: ln f = ln c + ln g stays
-    finite where the kernel is positive, even if c leaves the float range."""
+    finite where the kernel is positive, even if c leaves the float range.
+    Its power integral and Shannon entropy are the closed forms below."""
     interval = support(params)
-    return _from_log_pdf(_log_density(params), interval.lower, interval.upper)
+    return _from_log_pdf(_log_density(params), interval.lower, interval.upper,
+                         functools.partial(_power_integral, params),
+                         functools.partial(_shannon_entropy, params))
+
+
+def _power_integral(params: PathwayParams, p: float) -> float:
+    """integral of f^p = exp(p ln c - ln c'), c' the constant of the kernel
+    g^p: NonFinite where that kernel is not integrable, or where the value
+    lies outside the float range."""
+    gamma = p * (params.gamma - 1.0) + 1.0
+    if not gamma > 0.0:
+        raise NonFinite(f"integral of f^{p!r} diverges at the head: "
+                        f"p(gamma-1)+1 = {gamma!r} <= 0")
+    beta = p * params.beta_exp
+    if beta == 0.0 and params.alpha < 1.0:
+        # below order 1 beta' enters only as q' = beta'/(1-alpha) + 1, which
+        # rounds to 1 for every beta' under 2^-53 (1-alpha): the smallest
+        # float in place of an underflowed p beta gives the limit exactly
+        beta = math.ulp(0.0)
+    if not (gamma < math.inf and 0.0 < beta < math.inf):
+        raise NonFinite(f"integral of f^{p!r} is outside the float range: the kernel g^p "
+                        f"needs gamma' = {gamma!r}, beta' = {beta!r}")
+    prime = PathwayParams(params.alpha, gamma, params.delta, params.s, beta)
+    q = _substitution(prime)[2]
+    if not q > 0.0:
+        raise NonFinite(f"integral of f^{p!r} diverges in the power tail: q' = {q!r} <= 0")
+    try:
+        log_prime = _log_constant(prime)
+    except OverflowError as exc:   # math.lgamma of a shape above 2.5e305
+        raise NonFinite(f"integral of f^{p!r} is outside the float range: ln Gamma "
+                        f"overflows for the kernel g^p, {prime}") from exc
+    return _exp_in_float_range(p * _log_constant(params) - log_prime,
+                               f"integral of f^{p!r} =")
+
+
+def _shannon_entropy(params: PathwayParams) -> float:
+    """-E[ln f] = -ln c - (gamma-1) (E[ln t] - ln scale)/delta - E[bracket log]."""
+    law, r, q, scale = _require_normalizable(params)
+    log_t, log_bracket = law.log_moments(r, q, params.beta_exp, abs(1.0 - params.alpha))
+    value = (-_log_constant(params)
+             - (params.gamma - 1.0) * (log_t - math.log(scale)) / params.delta - log_bracket)
+    if not math.isfinite(value):
+        raise NonFinite(f"Shannon entropy {value!r} is outside the float range")
+    return value
+

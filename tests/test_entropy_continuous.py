@@ -1,7 +1,11 @@
 """Continuous entropy: closed-form values, limits, product composition."""
 from __future__ import annotations
 
+import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -49,6 +53,11 @@ EXPO = exponential_density(1.0)
 GAUSS = gaussian_density()
 UNIT = uniform_density(0.0, 1.0)
 
+
+def _quadrature_only(f: DensitySpec) -> DensitySpec:
+    """f without its closed forms: every statistic of it is integrated."""
+    return dataclasses.replace(f, shannon=None, power_integral=None)
+
 # closed forms: exponential(1) power integral of f^c is 1/c, uniform[0,L]
 # gives L^(1-c), standard gaussian gives (2 pi)^((1-c)/2) / sqrt(c); the
 # family values below were frozen from those forms at 50-digit precision.
@@ -72,6 +81,14 @@ FROZEN = [
 @pytest.mark.parametrize("density,family,alpha,expected", FROZEN)
 def test_frozen_continuous_values(density, family, alpha, expected):
     value = continuous_entropy(density, family, AlphaOrder(alpha))
+    assert value == pytest.approx(expected, abs=1e-9)
+
+
+@pytest.mark.parametrize("density,family,alpha,expected", FROZEN)
+def test_frozen_continuous_values_by_quadrature(density, family, alpha, expected):
+    # the same frozen values through the quadrature route, which the closed
+    # forms of the bundled densities otherwise bypass
+    value = continuous_entropy(_quadrature_only(density), family, AlphaOrder(alpha))
     assert value == pytest.approx(expected, abs=1e-9)
 
 
@@ -274,8 +291,9 @@ def test_negative_roundoff_clamped():
 
 
 def test_quadrature_spec_tolerances_respected():
+    # the spec sets the tolerances of quadrature only: set the closed forms aside
     loose = QuadratureSpec(0.0, 1.0, rel_tol=1e-6, abs_tol=1e-8)
-    value = continuous_entropy(GAUSS, SHANNON, AlphaOrder(1.0), loose)
+    value = continuous_entropy(_quadrature_only(GAUSS), SHANNON, AlphaOrder(1.0), loose)
     assert value == pytest.approx(0.5 * math.log(2.0 * math.pi * math.e), abs=1e-5)
 
 
@@ -324,16 +342,76 @@ def test_nan_density_values_raise_non_finite(pdf):
 
 # r = gamma/delta = 0.0063: the density passes the float range near x = 0.
 # Under warnings as errors (as pytest runs) the overflow used to send the
-# integrand node by node, and the log-density then failed on a float.
+# integrand node by node, and the log-density then failed on a float.  The
+# quadrature rows keep that path; the closed power integral diverges at the
+# head, since c(gamma-1)+1 < 0 at c = 2.
 _SLOW_HEAD = PathwayParams(1.0, 0.011753189300355899, 1.8526943481655047,
                            2.0966220830130656e-05, 0.050218806231499644)
 
 
-@pytest.mark.parametrize("family,alpha", [(SHANNON, 1.0), (TSALLIS, 2.0)],
-                         ids=["shannon", "power"])
-def test_overflowing_term_raises_non_finite_under_warnings_as_errors(family, alpha):
+@pytest.mark.parametrize("density,family,alpha", [
+    (_quadrature_only(as_density_spec(_SLOW_HEAD)), SHANNON, 1.0),
+    (as_density_spec(_SLOW_HEAD), TSALLIS, 2.0),
+    (_quadrature_only(as_density_spec(_SLOW_HEAD)), TSALLIS, 2.0),
+], ids=["shannon", "power", "power_quadrature"])
+def test_overflowing_term_raises_non_finite_under_warnings_as_errors(density, family, alpha):
     with pytest.raises(NonFinite):
-        continuous_entropy(as_density_spec(_SLOW_HEAD), family, AlphaOrder(alpha))
+        continuous_entropy(density, family, AlphaOrder(alpha))
+
+
+@pytest.mark.parametrize("params,expected", [
+    (_SLOW_HEAD, -72.5101350056280986954366639166),
+    (PathwayParams(1.5, 2.0, 1.0, 1.0, 1.2), 6.00308251041501923952898705014),
+], ids=["slow_head", "slow_tail"])
+def test_slow_shannon_entropies_come_from_their_closed_forms(params, expected):
+    # Quadrature in x raises on both: the slow head holds 2.2e-4 of its mass
+    # below x = 1e-308, and the slow tail decays like x^-1.4.  Frozen from
+    # 40-digit mpmath quadrature of -h ln f over v = ln x, h(v) = f(e^v) e^v,
+    # at the binary values of the parameters.
+    value = continuous_entropy(as_density_spec(params), SHANNON, AlphaOrder(1.0))
+    assert value == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("f,family,alpha,match", [
+    (exponential_density(10.0), TSALLIS, 400.0, "outside the float range"),
+    (exponential_density(1e-10), RENYI, 40.0, "outside the float range"),
+    (gaussian_density(0.0, 1e-3), HAVRDA_CHARVAT, 200.0, "outside the float range"),
+    (uniform_density(0.0, 1e-300), TSALLIS, 4.0, "outside the float range"),
+    (as_density_spec(PathwayParams(1.5, 2.0, 1.0, 1.0, 1.2)), RENYI, 0.5,
+     "diverges in the power tail"),
+    (as_density_spec(PathwayParams(0.5, 0.5, 1.0, 1.0, 1.0)), MATHAI_M, -1.0,
+     "diverges at the head"),
+    (as_density_spec(PathwayParams(1.0, 1e-310, 1.0, 1.0, 1.0)), SHANNON, 1.0,
+     "Shannon entropy -inf is outside the float range"),
+    (as_density_spec(PathwayParams(0.5, 2.0, 1.0, 1.0, 100.0)), TSALLIS, 1e307,
+     "needs gamma' = 1e\\+307, beta' = inf"),
+    (as_density_spec(PathwayParams(1.0, 2.0, 1.0, 1.0, 1e-10)), RENYI, 1e-320,
+     "beta' = 0.0"),
+    (as_density_spec(PathwayParams(0.5, 1.0, 1.0, 1.0, 1.0)), TSALLIS, 1e307,
+     "ln Gamma overflows for the kernel g\\^p"),
+], ids=["exponential_overflow", "exponential_underflow", "gaussian_overflow",
+        "uniform_overflow", "pathway_tail", "pathway_head", "pathway_shannon",
+        "pathway_beta_overflow", "pathway_beta_underflow", "pathway_lgamma_overflow"])
+def test_closed_forms_raise_non_finite(f, family, alpha, match):
+    # f^c past the float range, or a kernel g^c that is not integrable: a
+    # typed error, never a bare OverflowError or the DomainError of the
+    # parameters that g^c would need.  A subnormal gamma puts all the mass
+    # at the origin, where psi(gamma/delta) is -inf.  At order 1e307 the Beta
+    # shape q' = beta'/(1-alpha) of g^p overflows ln Gamma.
+    with pytest.raises(NonFinite, match=match):
+        continuous_entropy(f, family, AlphaOrder(alpha))
+
+
+@pytest.mark.parametrize("params", [PathwayParams(0.5, 2.0, 1.0, 1.0, 1e-10),
+                                    PathwayParams(-3.0, 2.5, 2.0, 0.7, 1e-10)],
+                         ids=["alpha_half", "alpha_negative"])
+def test_closed_power_integral_takes_the_limit_of_an_underflowed_beta(params):
+    # Renyi 1e-320 underflows beta' = p beta to 0; below order 1 the kernel
+    # g^p then has bracket exponent 0, so the value is the log of the support
+    # length (s (1-alpha))^(-1/delta), as quadrature also gives
+    length = (params.s * (1.0 - params.alpha)) ** (-1.0 / params.delta)
+    value = continuous_entropy(as_density_spec(params), RENYI, AlphaOrder(1e-320))
+    assert value == pytest.approx(math.log(length), rel=1e-14)
 
 
 def test_non_positive_power_statistic_is_domain_error():
@@ -358,6 +436,7 @@ def test_joint_side_runs_an_inner_integral_per_outer_node(family, alpha, monkeyp
     # equal only when their f(x) are.
     rows = []
     real = entropy_continuous.integrate
+    g = _quadrature_only(GAUSS)
 
     def recording(integrand, spec):
         if (spec.lower, spec.upper) != (GAUSS.lower, GAUSS.upper):
@@ -375,9 +454,81 @@ def test_joint_side_runs_an_inner_integral_per_outer_node(family, alpha, monkeyp
         return value
 
     monkeypatch.setattr(entropy_continuous, "integrate", recording)
-    continuous_entropy(GAUSS, family, AlphaOrder(alpha))
+    continuous_entropy(g, family, AlphaOrder(alpha))
     one_dim = len(rows)
-    composition_residual_continuous(EXPO, GAUSS, family, AlphaOrder(alpha))
+    composition_residual_continuous(EXPO, g, family, AlphaOrder(alpha))
     # the composition's own F(g) comes first, then the joint side
     joint = np.array(rows[2 * one_dim:])
     assert len(np.unique(joint, axis=0)) >= 8 * 15
+
+
+# ------------------------------------------------------- closed forms first
+
+def _two_route_densities():
+    """Seeded pathway draws in each regime, with tails and heads fast enough
+    for quadrature, plus the three other bundled densities."""
+    rng = np.random.default_rng(3011)
+    out = []
+    for regime in (0, 1, 2) * 5:
+        while True:
+            alpha = (rng.uniform(0.2, 0.9), 1.0, rng.uniform(1.1, 1.6))[regime]
+            params = PathwayParams(alpha, rng.uniform(0.8, 3.0), rng.uniform(0.7, 2.5),
+                                   rng.uniform(0.5, 2.0), rng.uniform(0.6, 2.0))
+            # above order 1, f^c decays like x^-(1 + delta q'), where
+            # delta q' = c (delta beta/(alpha-1) - gamma + 1) - 1 is linear in
+            # c: keep it >= 1.5 over the exponents c in [0.6, 1.8] used below
+            if regime < 2 or min(c * (params.delta * params.beta_exp / (alpha - 1.0)
+                                      - params.gamma + 1.0) - 1.0 for c in (0.6, 1.8)) >= 1.5:
+                break
+        out.append(as_density_spec(params))
+    for k in range(3):
+        out += [exponential_density(float(rng.uniform(0.3, 3.0))),
+                gaussian_density(float(rng.uniform(-2.0, 2.0)), float(rng.uniform(0.2, 3.0))),
+                uniform_density(*sorted(float(v) for v in rng.uniform(-3.0, 3.0, 2)))]
+    return out
+
+
+TWO_ROUTE = _two_route_densities()
+TWO_ROUTE_IDS = [f"pathway_{('below', 'at', 'above')[i % 3]}_one_{i // 3}" for i in range(15)] \
+    + [f"{name}_{k}" for k in range(3) for name in ("exponential", "gaussian", "uniform")]
+
+
+@pytest.mark.parametrize("f", TWO_ROUTE, ids=TWO_ROUTE_IDS)
+def test_closed_power_integral_matches_quadrature(f):
+    for c in (0.6, 0.95, 1.3, 1.8):
+        assert f.power_integral(c) == pytest.approx(density_power_integral(f, c), rel=1e-9)
+
+
+@pytest.mark.parametrize("f", TWO_ROUTE, ids=TWO_ROUTE_IDS)
+def test_closed_shannon_matches_quadrature(f):
+    order = AlphaOrder(1.0)
+    closed = continuous_entropy(f, SHANNON, order)
+    assert closed == f.shannon()
+    assert closed == pytest.approx(
+        continuous_entropy(_quadrature_only(f), SHANNON, order), rel=1e-9)
+
+
+_NO_SCIPY_PROBE = """
+import sys
+import pathway_entropy as pe
+densities = [pe.uniform_density(0.0, 2.0), pe.exponential_density(1.5),
+             pe.gaussian_density(0.5, 2.0)]
+densities += [pe.as_density_spec(pe.PathwayParams(a, 2.0, 1.5, 1.0, 2.5))
+              for a in (0.5, 1.0, 1.4)]
+for f in densities:
+    for family, alpha in ((pe.SHANNON, 1.0), (pe.TSALLIS, 1.5), (pe.RENYI, 0.5)):
+        pe.continuous_entropy(f, family, pe.AlphaOrder(alpha))
+        pe.composition_residual_continuous(f, pe.exponential_density(), family,
+                                           pe.AlphaOrder(alpha))
+print("scipy.special" in sys.modules, "scipy" in sys.modules)
+"""
+
+
+def test_bundled_density_entropies_load_no_scipy_special():
+    # the closed forms use math.lgamma and the package's own digamma, so the
+    # continuous measures of every bundled density keep scipy out of memory
+    src = os.path.dirname(os.path.dirname(entropy_continuous.__file__))
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_PROBE], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]

@@ -103,3 +103,22 @@ def test_dir_lists_every_public_name_before_first_use():
                           env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_scipy_is_imported_only_inside_pathway_special():
+    # scipy.special costs import time and memory, so one lazy import serves
+    # the cdf and quantile, and nothing else loads scipy
+    found = []
+    for name, tree in SOURCES.items():
+        scopes = [(None, tree)] + [(node.name, node) for node in ast.walk(tree)
+                                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        innermost = {}
+        for scope, node in scopes:   # outer scopes come first, so inner ones win
+            for sub in ast.walk(node):
+                innermost[id(sub)] = (scope, sub)
+        for scope, sub in innermost.values():
+            modules = ([alias.name for alias in sub.names] if isinstance(sub, ast.Import)
+                       else [sub.module or ""] if isinstance(sub, ast.ImportFrom) else [])
+            if any(m == "scipy" or m.startswith("scipy.") for m in modules):
+                found.append((name, scope))
+    assert found == [("pathway.py", "_special")]

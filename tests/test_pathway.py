@@ -1,6 +1,7 @@
 """Pathway family: constants, kernels, cdf/quantile/sampling, special cases."""
 from __future__ import annotations
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -16,6 +17,7 @@ from pathway_entropy.ode_check import OdeCase, residual_sweep
 from pathway_entropy.pathway import (
     SPECIAL_CASE_NAMES,
     PathwayParams,
+    _digamma,
     _substitution,
     as_density_spec,
     cdf,
@@ -425,14 +427,49 @@ LARGE_ORDER_ONE = PathwayParams(1.0, 446.18, 2.049, 9.783, 654.7)
 LARGE_BELOW_ONE = PathwayParams(-1.565, 3251.5, 1.219, 0.1466, 404.5)
 
 
-@pytest.mark.parametrize("params,family,alpha,expected", [
+LARGE_SHAPE_ENTROPIES = pytest.mark.parametrize("params,family,alpha,expected", [
     (LARGE_ORDER_ONE, SHANNON, 1.0, -3.6407488764335589514),
     (LARGE_BELOW_ONE, SHANNON, 1.0, -3.4102964578012343262),
     (LARGE_BELOW_ONE, TSALLIS, 1.5, -9.5374996314008790767),
 ], ids=["order_one_shannon", "below_one_shannon", "below_one_tsallis"])
+
+
+@LARGE_SHAPE_ENTROPIES
 def test_large_shape_entropies_through_the_log_density(params, family, alpha, expected):
+    # the spec's closed forms, from ln c and the log moments
     value = continuous_entropy(as_density_spec(params), family, AlphaOrder(alpha))
     assert value == pytest.approx(expected, rel=1e-10)
+
+
+@LARGE_SHAPE_ENTROPIES
+def test_large_shape_entropies_by_quadrature_of_the_log_density(params, family, alpha,
+                                                                expected):
+    # the quadrature route: integrands read ln f = ln c + ln g, finite where
+    # c itself is not
+    f = dataclasses.replace(as_density_spec(params), shannon=None, power_integral=None)
+    value = continuous_entropy(f, family, AlphaOrder(alpha))
+    assert value == pytest.approx(expected, rel=1e-10)
+
+
+# psi(x) frozen from 30-digit mpmath: the recurrence range, the zero of psi
+# near 1.4616, both sides of the switch to the series at 10, and its far end
+@pytest.mark.parametrize("x,expected", [
+    (1e-3, -1000.575571931810279655),
+    (0.0063, -159.2970587510693612752),
+    (0.05, -20.49784499129986925659),
+    (0.3, -3.502524222200133124915),
+    (1.0, -0.5772156649015328606065),
+    (1.4616321449683622, -9.241265521729427479201e-17),
+    (2.5, 0.7031566406452431872257),
+    (7.25, 1.910453526883736028382),
+    (9.999, 2.251647417205735314158),
+    (10.0, 2.251752589066721107647),
+    (37.5, 3.610948344596338412047),
+    (1e3, 6.90725519564881205205),
+    (1e5, 11.51292046496189508676),
+])
+def test_digamma_matches_mpmath(x, expected):
+    assert abs(_digamma(x) - expected) <= 2e-15 * max(abs(expected), 1.0)
 
 
 # density at the 1 %, 50 % and 99 % quantiles of each draw (x frozen from
